@@ -1,41 +1,17 @@
 """Simulator and closed-form toolkit for the random pairwise key
 predistribution scheme under unreliable links."""
 
-from .graph import (
-    ComponentLabeling,
-    Graph,
-    connected_components,
-    degree,
-    intersect,
-    is_connected,
-    isolated_count,
-)
-from .scheme import (
-    KeyRing,
-    PairingTable,
-    SchemeParams,
-    build_key_rings,
-    k_adjacency_graph,
-    sample_pairing,
-)
-from .channels import (
-    ChannelParams,
-    DiskParams,
-    Positions,
-    disk_graph,
-    match_rho,
-    sample_er,
-    sample_positions,
-    toroidal_distance,
-)
+from .scheme import sample_gamma_matrix
+from .channels import DiskParams, match_rho, toroidal_distance_matrix
 from .theory import TheoryReport, theory_report
 from .montecarlo import (
     EstimateTable,
     ExperimentConfig,
     TrialOutcome,
     ValidationReport,
-    compare_channels,
+    components,
     find_crossover,
+    keyed_pairs,
     run_trial,
     sweep,
     validate_bounds,

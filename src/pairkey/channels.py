@@ -1,5 +1,6 @@
-"""Communication models: the on/off (Erdos-Renyi) channel graph and the disk
-model on the unit torus, plus the rule matching their edge probabilities.
+"""Communication models: the on/off channel, where each link is up
+independently with probability p, and the disk model on the unit torus, plus
+the rule matching their edge probabilities.
 """
 
 from __future__ import annotations
@@ -8,19 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .graph import Graph
-
-
-@dataclass(frozen=True)
-class ChannelParams:
-    """On/off channel: each link is up independently with probability p."""
-
-    p: float
-
-    def __post_init__(self):
-        if not 0.0 < self.p <= 1.0:
-            raise ValueError(f"p must be in (0, 1], got {self.p}")
 
 
 @dataclass(frozen=True)
@@ -45,81 +33,12 @@ class DiskParams:
             )
 
 
-@dataclass(frozen=True)
-class Positions:
-    """n points in [0,1)^2 as an (n, 2) float array."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise ValueError(f"points must be (n, 2), got shape {pts.shape}")
-        if np.any(pts < 0.0) or np.any(pts >= 1.0):
-            raise ValueError("coordinates must lie in [0, 1)")
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def n(self) -> int:
-        return self.points.shape[0]
-
-    def to_text(self) -> str:
-        """Serialize as "i x y" lines with 6 decimal places."""
-        lines = [
-            f"{i + 1} {x:.6f} {y:.6f}"
-            for i, (x, y) in enumerate(self.points)
-        ]
-        return "\n".join(lines) + "\n"
-
-
-def er_uniforms_to_graph(n: int, p: float, u: np.ndarray) -> Graph:
-    """Build the on/off graph from pre-drawn uniforms, one per pair (i<j),
-    in row-major pair order."""
-    iu, ju = np.triu_indices(n, k=1)
-    hit = u < p
-    return Graph(n, zip((iu[hit] + 1).tolist(), (ju[hit] + 1).tolist()))
-
-
-def sample_er(n: int, cp: ChannelParams, rng: np.random.Generator) -> Graph:
-    """Sample the on/off channel graph: each of the C(n,2) links is up
-    independently with probability p."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    u = rng.random(n * (n - 1) // 2)
-    return er_uniforms_to_graph(n, cp.p, u)
-
-
-def sample_positions(n: int, rng: np.random.Generator) -> Positions:
-    """n i.i.d. uniform points on [0,1)^2."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return Positions(points=rng.random((n, 2)))
-
-
-def toroidal_distance(a, b) -> float:
-    """Euclidean distance on the unit torus (per-axis wrap); at most sqrt(2)/2."""
-    d = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
-    d = np.minimum(d, 1.0 - d)
-    return float(np.hypot(d[0], d[1]))
-
-
 def toroidal_distance_matrix(points: np.ndarray) -> np.ndarray:
-    """All-pairs toroidal distances for an (n, 2) point array."""
+    """All-pairs Euclidean distances on the unit torus (per-axis wrap) for an
+    (n, 2) point array; each is at most sqrt(2)/2."""
     d = np.abs(points[:, None, :] - points[None, :, :])
     d = np.minimum(d, 1.0 - d)
     return np.sqrt((d * d).sum(axis=2))
-
-
-def disk_graph(pos: Positions, dp: DiskParams) -> Graph:
-    """Edge {i,j} iff the toroidal distance between i and j is below rho.
-
-    Brute-force all-pairs scan; fine for the n=200 regime this is used in.
-    """
-    dist = toroidal_distance_matrix(pos.points)
-    close = dist < dp.rho
-    iu, ju = np.triu_indices(pos.n, k=1)
-    hit = close[iu, ju]
-    return Graph(pos.n, zip((iu[hit] + 1).tolist(), (ju[hit] + 1).tolist()))
 
 
 def match_rho(p: float, allow_large_rho: bool = False) -> DiskParams:

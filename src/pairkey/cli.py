@@ -13,11 +13,10 @@ import secrets
 import sys
 from pathlib import Path
 
-from . import graph as graphmod
+import numpy as np
+
 from . import montecarlo as mc
 from . import theory
-from .channels import ChannelParams, sample_er
-from .scheme import SchemeParams, k_adjacency_graph, sample_pairing
 
 PRESET_K_GRID = tuple(range(1, 26))
 PRESET_P_GRID = (0.2, 0.4, 0.6, 0.8, 1.0)
@@ -64,11 +63,17 @@ def parse_p_values(text: str) -> tuple[float, ...]:
     return out
 
 
-def _default_workers() -> int:
-    env = os.environ.get("PAIRKEY_WORKERS")
-    if env:
-        return int(env)
-    return os.cpu_count() or 1
+def _workers(flag) -> int:
+    """--workers, else PAIRKEY_WORKERS, else the CPU count; below 1 is an error."""
+    if flag is not None:
+        workers, source = flag, "--workers"
+    elif os.environ.get("PAIRKEY_WORKERS"):
+        workers, source = int(os.environ["PAIRKEY_WORKERS"]), "PAIRKEY_WORKERS"
+    else:
+        return os.cpu_count() or 1
+    if workers < 1:
+        raise _UsageError(f"{source} must be >= 1, got {workers}")
+    return workers
 
 
 def _effective_seed(seed: int) -> int:
@@ -122,26 +127,37 @@ def figure_preset(name: str, seed: int, trials: int = PRESET_TRIALS):
     raise _UsageError(f"unknown figure preset {name!r}; choose from {FIGURE_PRESETS}")
 
 
+def _write_edges(path: Path, a, b) -> None:
+    """One "i j" line per edge, 1-based, in the (sorted) order given."""
+    with open(path, "w", newline="\n") as f:
+        f.writelines(f"{i} {j}\n" for i, j in zip((a + 1).tolist(), (b + 1).tolist()))
+
+
 def dump_instance(n: int, K: int, p: float, seed: int, outdir: str) -> None:
     """Write edge lists for one channel graph, one key-sharing graph, and
-    their intersection, plus the intersection's component labels."""
+    their intersection, plus the intersection's component labels and the
+    pairing (partners ascending). The draws are the on/off trial's: pairing,
+    then one uniform per pair."""
+    if not 0.0 < p <= 1.0:
+        raise ValueError(f"p must be in (0, 1], got {p}")
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     rng = mc.rng_from_entropy((seed, 201, n, K))
-    pt = sample_pairing(SchemeParams(n=n, K=K), rng)
-    h = k_adjacency_graph(pt)
-    g = sample_er(n, ChannelParams(p=p), rng)
-    hg = graphmod.intersect(h, g)
-    graphmod.write_edge_list(g, out / "channel.edges")
-    graphmod.write_edge_list(h, out / "pairwise.edges")
-    graphmod.write_edge_list(hg, out / "intersection.edges")
-    labeling = graphmod.connected_components(hg)
+    gamma = mc.sample_gamma_matrix(n, K, rng)
+    a, b = mc.keyed_pairs(gamma)
+    iu, ju = np.triu_indices(n, k=1)
+    up = rng.random(iu.size) < p
+    both = up[mc.pair_index(n, a, b)]
+    _write_edges(out / "channel.edges", iu[up], ju[up])
+    _write_edges(out / "pairwise.edges", a, b)
+    _write_edges(out / "intersection.edges", a[both], b[both])
+    count, labels = mc.components(n, a[both], b[both], return_labels=True)
     with open(out / "intersection.components", "w", newline="\n") as f:
-        f.write(f"# components: {labeling.component_count}\n")
-        for i, lab in enumerate(labeling.labels, start=1):
-            f.write(f"{i} {lab}\n")
+        f.write(f"# components: {count}\n")
+        f.writelines(f"{i} {lab}\n" for i, lab in enumerate(labels.tolist(), start=1))
     with open(out / "pairing.txt", "w", newline="\n") as f:
-        f.write(pt.to_text())
+        f.writelines(f"{i}: {' '.join(map(str, row))}\n"
+                     for i, row in enumerate((np.sort(gamma, axis=1) + 1).tolist(), start=1))
 
 
 def _build_parser() -> _Parser:
@@ -205,8 +221,15 @@ def _simulate_config(args) -> tuple[mc.ExperimentConfig, int]:
     values = dict(_SIM_DEFAULTS)
     if args.config:
         with open(args.config) as f:
-            values.update(json.load(f))
-    for key in ("n", "K", "p", "trials", "seed", "channel"):
+            loaded = json.load(f)
+        if not isinstance(loaded, dict):
+            raise _UsageError(f"{args.config}: config must be a JSON object")
+        unknown = sorted(set(loaded) - set(_SIM_DEFAULTS))
+        if unknown:
+            raise _UsageError(f"{args.config}: unknown config key(s) {', '.join(unknown)}; "
+                              f"known: {', '.join(_SIM_DEFAULTS)}")
+        values.update(loaded)
+    for key in _SIM_DEFAULTS:
         flag = getattr(args, key)
         if flag is not None:
             values[key] = flag
@@ -223,7 +246,7 @@ def _simulate_config(args) -> tuple[mc.ExperimentConfig, int]:
             trials=int(values["trials"]), seed=seed, channel=channel)
     except ValueError as e:
         raise _UsageError(str(e))
-    workers = args.workers if args.workers is not None else _default_workers()
+    workers = _workers(args.workers)
     return config, workers
 
 
@@ -265,7 +288,7 @@ def main(argv=None) -> int:
                 dump_instance(preset["n"], preset["K"], preset["p"],
                               seed=seed, outdir=args.out)
                 return 0
-            workers = args.workers if args.workers is not None else _default_workers()
+            workers = _workers(args.workers)
             table = mc.sweep(preset, workers=workers)
             write_outputs(table, args.out, "csv")
             return 0

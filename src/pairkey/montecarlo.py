@@ -1,6 +1,11 @@
-"""Monte Carlo engine: trial execution, parameter sweeps with standard
-errors, crossover extraction, channel comparison, and the bound-validation
-suite.
+"""Monte Carlo engine: the trial kernel, parameter sweeps with standard
+errors, crossover extraction, and the bound-validation suite.
+
+A trial's graph is held as sorted edge arrays (a, b), a < b: the keyed pairs
+of the pairing, filtered by the channel. A trial builds no n x n adjacency;
+its O(n^2) arrays are the random draws themselves and, for the disk channel,
+the all-pairs distance matrix. (validate_bounds, for small n only, batches
+dense matrices over many samples instead.)
 
 Every trial is seeded by a counter-based derivation from
 (master seed, channel tag, n, K-index, p-index, trial index), so results are
@@ -11,7 +16,6 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from functools import lru_cache
 from dataclasses import dataclass, asdict
 from typing import Optional
 
@@ -21,7 +25,7 @@ from scipy.sparse.csgraph import connected_components as _sparse_components
 
 from . import theory
 from .channels import match_rho, toroidal_distance_matrix
-from .scheme import sample_gamma_matrix
+from .scheme import partners_from_uniforms, sample_gamma_matrix
 
 CHANNELS = ("on_off", "disk", "disk_forced")
 _CHANNEL_TAGS = {"on_off": 1, "disk": 2, "disk_forced": 3}
@@ -38,11 +42,6 @@ def rng_from_entropy(entropy) -> np.random.Generator:
     if isinstance(entropy, (int, np.integer)):
         entropy = (int(entropy),)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(entropy))))
-
-
-@lru_cache(maxsize=8)
-def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.triu_indices(n, k=1)
 
 
 @dataclass(frozen=True)
@@ -80,34 +79,46 @@ class ExperimentConfig:
             raise ValueError(f"channel must be one of {CHANNELS}, got {self.channel!r}")
 
 
-def _intersection_adjacency(n: int, K: int, p: float, channel: str,
-                            rng: np.random.Generator) -> np.ndarray:
-    """Sample one intersection graph as a boolean adjacency matrix.
+def keyed_pairs(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Key-sharing graph of a pairing as edge arrays (a, b) with a < b,
+    sorted by (a, b): {i, j} is an edge iff i picked j or j picked i."""
+    n, K = gamma.shape
+    i = np.repeat(np.arange(n), K)
+    j = gamma.ravel()
+    # np.unique is an order of magnitude slower than sort plus compare here
+    code = np.sort(np.minimum(i, j) * n + np.maximum(i, j))
+    code = code[np.concatenate(([True], code[1:] != code[:-1]))]
+    return np.divmod(code, n)
 
-    Draw order (pairing first, then channel) matches the object-level
-    composition sample_pairing -> sample_er / sample_positions, so outcomes
-    are bitwise comparable across the two paths.
+
+def pair_index(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Position of pair (a, b), a < b, in row-major upper-triangle order, the
+    order in which the on/off channel draws its C(n,2) uniforms."""
+    return a * (2 * n - a - 1) // 2 + b - a - 1
+
+
+def _intersection_edges(n: int, K: int, p: float, channel: str,
+                        rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Sample one intersection graph as sorted edge arrays (a, b), a < b.
+
+    The pairing is drawn first, then the channel: C(n,2) uniforms for on/off
+    (one per pair, read only at the keyed pairs) or n positions for disk.
+    Only keyed pairs are tested against the channel.
     """
-    gamma0 = sample_gamma_matrix(n, K, rng)
-    picked = np.zeros((n, n), dtype=bool)
-    picked[np.arange(n)[:, None], gamma0] = True
-    keyed = picked | picked.T
-
+    a, b = keyed_pairs(sample_gamma_matrix(n, K, rng))
     if channel == "on_off":
-        u = rng.random(n * (n - 1) // 2)
-        chan = np.zeros((n, n), dtype=bool)
-        iu, ju = _triu(n)
-        hit = u < p
-        chan[iu[hit], ju[hit]] = True
-        chan |= chan.T
+        up = rng.random(n * (n - 1) // 2)[pair_index(n, a, b)] < p
     else:
         rho = match_rho(p, allow_large_rho=(channel == "disk_forced")).rho
-        pts = rng.random((n, 2))
-        chan = toroidal_distance_matrix(pts) < rho
+        up = toroidal_distance_matrix(rng.random((n, 2)))[a, b] < rho
+    return a[up], b[up]
 
-    adj = keyed & chan
-    np.fill_diagonal(adj, False)
-    return adj
+
+def components(n: int, a: np.ndarray, b: np.ndarray, return_labels: bool = False):
+    """Connected components of the graph with edges (a, b) on nodes 0..n-1;
+    labels, if asked for, number components in order of smallest member."""
+    graph = csr_matrix((np.ones(a.size, dtype=bool), (a, b)), shape=(n, n))
+    return _sparse_components(graph, directed=False, return_labels=return_labels)
 
 
 def run_trial(n: int, K: int, p: float, channel: str, trial_seed) -> TrialOutcome:
@@ -123,16 +134,11 @@ def run_trial(n: int, K: int, p: float, channel: str, trial_seed) -> TrialOutcom
     if channel not in CHANNELS:
         raise ValueError(f"channel must be one of {CHANNELS}, got {channel!r}")
     rng = rng_from_entropy(trial_seed)
-    adj = _intersection_adjacency(n, K, p, channel, rng)
-    iso = int(n - np.count_nonzero(adj.any(axis=1)))
-    edges = int(np.count_nonzero(adj) // 2)
-    if iso > 0 and n > 1:
-        connected = False
-    else:
-        ncomp = _sparse_components(csr_matrix(adj), directed=False,
-                                   return_labels=False)
-        connected = ncomp == 1
-    return TrialOutcome(connected=connected, isolated_count=iso, edge_count=edges)
+    a, b = _intersection_edges(n, K, p, channel, rng)
+    iso = int(np.count_nonzero(np.bincount(np.concatenate((a, b)), minlength=n) == 0))
+    # an isolated node settles connectivity without the component search
+    connected = iso == 0 and components(n, a, b) == 1
+    return TrialOutcome(connected=connected, isolated_count=iso, edge_count=int(a.size))
 
 
 def _binomial_stderr(count: int, trials: int) -> float:
@@ -239,6 +245,14 @@ def _run_cell(args) -> tuple[int, int, int, int]:
     return k_index, p_index, conn, noiso
 
 
+def pool_size(workers: int, units: int) -> int:
+    """Worker processes to start for `units` work items: `workers`, but never
+    more than there are items."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return min(workers, units)
+
+
 def sweep(config: ExperimentConfig, workers: int = 1) -> EstimateTable:
     """Run every (K, p) cell of the grid. Output is bit-identical for any
     worker count; trials are seeded independently of scheduling."""
@@ -247,7 +261,8 @@ def sweep(config: ExperimentConfig, workers: int = 1) -> EstimateTable:
         for pi, p in enumerate(config.p_grid)
         for ki, K in enumerate(config.K_grid)
     ]
-    if workers <= 1:
+    workers = pool_size(workers, len(jobs))
+    if workers == 1:
         results = [_run_cell(j) for j in jobs]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -286,54 +301,6 @@ def find_crossover(table: EstimateTable, p: float, level: float = 0.5,
     return None
 
 
-@dataclass(frozen=True)
-class ChannelComparison:
-    """Per-cell deltas and per-p crossover deltas between two channel models."""
-
-    table_onoff: EstimateTable
-    table_disk: EstimateTable
-    deltas: tuple[tuple[int, float, float], ...]  # (K, p, prob_on - prob_disk)
-    crossovers: tuple[tuple[float, Optional[int], Optional[int]], ...]
-    forced_rho_ps: tuple[float, ...]
-
-    def crossover_delta(self, p: float) -> Optional[int]:
-        for pp, k_on, k_disk in self.crossovers:
-            if math.isclose(pp, p):
-                if k_on is None or k_disk is None:
-                    return None
-                return abs(k_on - k_disk)
-        raise KeyError(f"no crossover entry for p={p}")
-
-
-def compare_channels(config: ExperimentConfig, workers: int = 1,
-                     allow_large_rho: bool = False) -> ChannelComparison:
-    """Run the same grid under the on/off and disk channels and report the
-    per-cell and crossover differences."""
-    disk_channel = "disk_forced" if allow_large_rho else "disk"
-    on_cfg = ExperimentConfig(n=config.n, K_grid=config.K_grid,
-                              p_grid=config.p_grid, trials=config.trials,
-                              seed=config.seed, channel="on_off")
-    disk_cfg = ExperimentConfig(n=config.n, K_grid=config.K_grid,
-                                p_grid=config.p_grid, trials=config.trials,
-                                seed=config.seed, channel=disk_channel)
-    t_on = sweep(on_cfg, workers=workers)
-    t_disk = sweep(disk_cfg, workers=workers)
-    deltas = tuple(
-        (K, p, t_on.cell("on_off", K, p).prob_connected
-         - t_disk.cell(disk_channel, K, p).prob_connected)
-        for p in config.p_grid for K in config.K_grid
-    )
-    crossovers = tuple(
-        (p, find_crossover(t_on, p), find_crossover(t_disk, p))
-        for p in config.p_grid
-    )
-    forced = tuple(p for p in config.p_grid
-                   if match_rho(p, allow_large_rho=True).forced)
-    return ChannelComparison(table_onoff=t_on, table_disk=t_disk,
-                             deltas=deltas, crossovers=crossovers,
-                             forced_rho_ps=forced if allow_large_rho else ())
-
-
 # ---------------------------------------------------------------------------
 # Targeted estimators and the bound-validation suite
 # ---------------------------------------------------------------------------
@@ -348,6 +315,8 @@ def estimate_edge_prob(n: int, K: int, p: float, trials: int,
     """
     if not 1 <= K < n:
         raise ValueError(f"require 1 <= K < n, got K={K}, n={n}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     rng = rng_from_entropy((seed, 101, n, K))
     hits = 0
     done = 0
@@ -443,11 +412,8 @@ def validate_bounds(n: int, K: int, p: float, samples: int,
 
     while done < samples:
         t = min(chunk, samples - done)
-        u = rng.random((t, n, n - 1))
-        cand = np.argpartition(u, K, axis=2)[:, :, :K] if K < n - 1 else \
-            np.tile(np.arange(n - 1), (t, n, 1))
+        gamma0 = partners_from_uniforms(rng.random((t, n, n - 1)), K)
         rows = np.arange(n)[None, :, None]
-        gamma0 = cand + (cand >= rows)
         picked = np.zeros((t, n, n), dtype=bool)
         ti = np.arange(t)[:, None, None]
         picked[ti, rows, gamma0] = True

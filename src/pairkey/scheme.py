@@ -1,31 +1,28 @@
-"""Random pairwise key predistribution: the offline pairing, key rings, and
-the induced key-sharing graph.
+"""Random pairwise key predistribution: the offline pairing.
 
 Each of the n nodes independently picks a uniform set of K partners among the
 other n-1 nodes. Two nodes share a key iff at least one picked the other.
-Key identifiers are opaque (initiator, target, slot) triples; no actual
-cryptographic material is involved.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .graph import Graph
 
+def partners_from_uniforms(u: np.ndarray, K: int) -> np.ndarray:
+    """Map uniforms of shape (..., n, n-1) to partner ids of shape (..., n, K).
 
-@dataclass(frozen=True)
-class SchemeParams:
-    n: int
-    K: int
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"n must be >= 2, got {self.n}")
-        if not 1 <= self.K < self.n:
-            raise ValueError(f"K must satisfy 1 <= K < n, got K={self.K}, n={self.n}")
+    Along the last axis, the candidates of node i are ranked by their
+    uniforms and the K smallest ranks are kept. Candidate c of node i maps to
+    node c if c < i else c + 1, so no node picks itself.
+    """
+    n = u.shape[-2]
+    if K == n - 1:
+        # every candidate is chosen; the draw keeps the rng stream aligned
+        cand = np.broadcast_to(np.arange(n - 1), u.shape)
+    else:
+        cand = np.argpartition(u, K, axis=-1)[..., :K]
+    return cand + (cand >= np.arange(n)[:, None])
 
 
 def sample_gamma_matrix(n: int, K: int, rng: np.random.Generator) -> np.ndarray:
@@ -39,95 +36,4 @@ def sample_gamma_matrix(n: int, K: int, rng: np.random.Generator) -> np.ndarray:
     """
     if not 1 <= K < n:
         raise ValueError(f"K must satisfy 1 <= K < n, got K={K}, n={n}")
-    u = rng.random((n, n - 1))
-    if K == n - 1:
-        # every candidate is chosen; the draw keeps the rng stream aligned
-        cand = np.tile(np.arange(n - 1), (n, 1))
-    else:
-        cand = np.argpartition(u, K, axis=1)[:, :K]
-    rows = np.arange(n)[:, None]
-    # candidate c of node i maps to node c if c < i else c + 1 (skipping i)
-    return cand + (cand >= rows)
-
-
-@dataclass(frozen=True)
-class PairingTable:
-    """The sampled pairing: gamma[i] is the partner array of node i+1 (1-based ids)."""
-
-    n: int
-    K: int
-    gamma: np.ndarray  # (n, K) int array of 1-based node ids
-
-    def partners(self, i: int) -> frozenset[int]:
-        """Partner set of node i (1-based)."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"node id {i} out of range 1..{self.n}")
-        return frozenset(int(j) for j in self.gamma[i - 1])
-
-    def is_paired(self, i: int, j: int) -> bool:
-        """True iff j is among the partners chosen by i."""
-        return j in self.partners(i)
-
-    def to_text(self) -> str:
-        """Serialize as "i: j1 j2 ... jK" lines, partners ascending."""
-        lines = []
-        for i in range(1, self.n + 1):
-            js = " ".join(str(j) for j in sorted(self.partners(i)))
-            lines.append(f"{i}: {js}")
-        return "\n".join(lines) + "\n"
-
-
-def sample_pairing(params: SchemeParams, rng: np.random.Generator) -> PairingTable:
-    """Draw the offline pairing: independent uniform K-subsets per node."""
-    gamma0 = sample_gamma_matrix(params.n, params.K, rng)
-    return PairingTable(n=params.n, K=params.K, gamma=gamma0 + 1)
-
-
-@dataclass(frozen=True)
-class KeyRing:
-    """Keys held by one node; each key is an (initiator, target, slot) triple."""
-
-    owner: int
-    keys: frozenset[tuple[int, int, int]]
-
-
-def _slot_labels(partners: list[int]) -> dict[int, int]:
-    # ascending node-id labeling; the induced graphs do not depend on it
-    return {j: slot for slot, j in enumerate(sorted(partners), start=1)}
-
-
-def build_key_rings(pt: PairingTable) -> list[KeyRing]:
-    """Materialize every node's key ring from the pairing table.
-
-    Node i holds one key per partner it initiated plus one per node that
-    chose i; mutual choices leave two distinct keys on both sides.
-    """
-    slot_of = [_slot_labels([int(j) for j in pt.gamma[i]]) for i in range(pt.n)]
-    keys: list[set[tuple[int, int, int]]] = [set() for _ in range(pt.n)]
-    for i0 in range(pt.n):
-        i = i0 + 1
-        for j in pt.gamma[i0]:
-            j = int(j)
-            key = (i, j, slot_of[i0][j])
-            keys[i0].add(key)
-            keys[j - 1].add(key)
-    return [KeyRing(owner=i + 1, keys=frozenset(keys[i])) for i in range(pt.n)]
-
-
-def k_adjacency_graph(pt: PairingTable) -> Graph:
-    """Key-sharing graph: edge {i,j} iff i picked j or j picked i."""
-    edges = set()
-    for i0 in range(pt.n):
-        i = i0 + 1
-        for j in pt.gamma[i0]:
-            j = int(j)
-            edges.add((i, j) if i < j else (j, i))
-    return Graph(pt.n, edges)
-
-
-def membership_matrix(pt: PairingTable) -> np.ndarray:
-    """Boolean (n, n) matrix M with M[i-1, j-1] = True iff i picked j."""
-    m = np.zeros((pt.n, pt.n), dtype=bool)
-    rows = np.arange(pt.n)[:, None]
-    m[rows, pt.gamma - 1] = True
-    return m
+    return partners_from_uniforms(rng.random((n, n - 1)), K)

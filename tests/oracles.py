@@ -1,6 +1,10 @@
 """Brute-force oracles, independent of the library's formulas: exhaustive
-enumeration over pairings (and channel states where feasible)."""
+enumeration over pairings (and channel states where feasible), and a
+pure-Python sampler of one trial's graph that draws the same random numbers
+in the same order as the array kernel."""
 
+import math
+from collections import deque
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -66,3 +70,69 @@ def exact_isolation_probability_full_enumeration(n, K, p):
             if isolated:
                 total += w
     return total
+
+
+def toroidal_distance(a, b):
+    """Euclidean distance on the unit torus (per-axis wrap); at most sqrt(2)/2."""
+    dx, dy = (min(abs(x - y), 1.0 - abs(x - y)) for x, y in zip(a, b))
+    return math.hypot(dx, dy)
+
+
+def partner_sets(u, K):
+    """0-based partner sets from an (n, n-1) array of uniforms: node i ranks
+    candidate c (node c if c < i, else c + 1) by u[i][c] and keeps the K
+    smallest."""
+    n = len(u)
+    out = []
+    for i in range(n):
+        row = [float(x) for x in u[i]]
+        ranked = sorted(range(n - 1), key=row.__getitem__)[:K]
+        out.append({c if c < i else c + 1 for c in ranked})
+    return out
+
+
+def sample_instance(n, K, p, channel, rng):
+    """One trial's graphs, 0-based: (partner sets, keyed pairs, channel pairs,
+    intersection pairs), each pair (i, j) with i < j. Draws n rows of n-1
+    partner uniforms, then one uniform per pair in row-major order (on/off)
+    or n positions (disk, rho = sqrt(p / pi))."""
+    partners = partner_sets(rng.random((n, n - 1)), K)
+    keyed = {(min(i, j), max(i, j)) for i in range(n) for j in partners[i]}
+    pairs = list(combinations(range(n), 2))
+    if channel == "on_off":
+        up = {pr for pr, x in zip(pairs, rng.random(len(pairs)).tolist()) if x < p}
+    else:
+        rho = math.sqrt(p / math.pi)
+        pts = rng.random((n, 2)).tolist()
+        up = {(i, j) for i, j in pairs if toroidal_distance(pts[i], pts[j]) < rho}
+    return partners, keyed, up, keyed & up
+
+
+def component_labels(n, edges):
+    """Breadth-first component labels of nodes 0..n-1, numbered in order of
+    smallest member."""
+    adj = [[] for _ in range(n)]
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    labels = [-1] * n
+    count = 0
+    for s in range(n):
+        if labels[s] >= 0:
+            continue
+        labels[s] = count
+        queue = deque([s])
+        while queue:
+            for w in adj[queue.popleft()]:
+                if labels[w] < 0:
+                    labels[w] = count
+                    queue.append(w)
+        count += 1
+    return labels
+
+
+def trial(n, K, p, channel, rng):
+    """(connected, isolated_count, edge_count) of one sampled trial."""
+    edges = sample_instance(n, K, p, channel, rng)[3]
+    touched = {v for e in edges for v in e}
+    return max(component_labels(n, edges)) == 0, n - len(touched), len(edges)

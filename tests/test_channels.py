@@ -4,17 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pairkey.channels import (
-    ChannelParams,
-    DiskParams,
-    Positions,
-    disk_graph,
-    match_rho,
-    sample_er,
-    sample_positions,
-    toroidal_distance,
-    toroidal_distance_matrix,
-)
+from pairkey import montecarlo as mc
+from pairkey.channels import DiskParams, match_rho, toroidal_distance_matrix
+
+from oracles import toroidal_distance
 
 coord = st.floats(min_value=0.0, max_value=1.0, exclude_max=True,
                   allow_nan=False)
@@ -25,95 +18,68 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
-class TestParams:
-    def test_channel_params_range(self):
-        ChannelParams(p=1.0)
-        with pytest.raises(ValueError):
-            ChannelParams(p=0.0)
-        with pytest.raises(ValueError):
-            ChannelParams(p=1.5)
+def dist(*points):
+    return toroidal_distance_matrix(np.array(points, dtype=float))
 
+
+def edge_rate(p, channel, trials, seed):
+    """Fraction of n=2, K=1 trials with the one (always keyed) pair up."""
+    hits = sum(mc.run_trial(2, 1, p, channel, (seed, t)).edge_count
+               for t in range(trials))
+    return hits / trials
+
+
+class TestParams:
     def test_disk_params_range(self):
         DiskParams(rho=0.3)
         with pytest.raises(ValueError):
             DiskParams(rho=0.5)
         DiskParams(rho=0.6, forced=True)
 
-    def test_positions_validation(self):
-        with pytest.raises(ValueError):
-            Positions(points=np.array([[0.5, 1.0]]))
-        with pytest.raises(ValueError):
-            Positions(points=np.zeros((3, 3)))
 
+class TestChannelEdgeRate:
+    def test_on_off(self):
+        trials = 20_000
+        rate = edge_rate(0.5, "on_off", trials, 5)
+        assert abs(rate - 0.5) <= 3 * math.sqrt(0.25 / trials)
 
-class TestSampleEr:
-    def test_p1_complete(self):
-        g = sample_er(10, ChannelParams(p=1.0), rng())
-        assert g.edge_count == 45
+    def test_disk_pi_rho_squared(self):
+        trials = 20_000
+        q = 0.3
+        rate = edge_rate(q, "disk", trials, 6)
+        assert abs(rate - q) <= 3 * math.sqrt(q * (1 - q) / trials)
 
-    def test_edge_rate(self):
-        trials = 100_000
-        r = rng(5)
-        cp = ChannelParams(p=0.5)
-        hits = sum(sample_er(2, cp, r).edge_count for _ in range(trials))
-        assert abs(hits / trials - 0.5) <= 3 * math.sqrt(0.25 / trials)
-
-    def test_typically_connected_at_n50_p02(self):
-        from pairkey.graph import is_connected
-
-        r = rng(7)
-        cp = ChannelParams(p=0.2)
-        connected = sum(is_connected(sample_er(50, cp, r)) for _ in range(50))
+    def test_on_off_typically_connected_at_n50_p02(self):
+        # with every pair keyed the intersection is the channel graph itself
+        connected = sum(mc.run_trial(50, 49, 0.2, "on_off", (7, t)).connected
+                        for t in range(50))
         assert connected >= 48
-
-    def test_reproducible(self):
-        g1 = sample_er(30, ChannelParams(p=0.3), rng(9))
-        g2 = sample_er(30, ChannelParams(p=0.3), rng(9))
-        assert g1 == g2
-
-
-class TestSamplePositions:
-    def test_single_point_in_range(self):
-        pos = sample_positions(1, rng())
-        assert pos.points.shape == (1, 2)
-
-    def test_coordinate_means(self):
-        pos = sample_positions(100_000, rng(3))
-        sigma = math.sqrt(1 / 12 / 100_000)
-        for axis in (0, 1):
-            assert abs(pos.points[:, axis].mean() - 0.5) <= 3 * sigma
-
-    def test_reproducible(self):
-        a = sample_positions(20, rng(4)).points
-        b = sample_positions(20, rng(4)).points
-        assert np.array_equal(a, b)
 
 
 class TestToroidalDistance:
     def test_identity(self):
-        assert toroidal_distance((0.3, 0.7), (0.3, 0.7)) == 0.0
+        assert dist((0.3, 0.7), (0.3, 0.7))[0, 1] == 0.0
 
     def test_wraparound(self):
-        d = toroidal_distance((0.1, 0.1), (0.9, 0.9))
+        d = dist((0.1, 0.1), (0.9, 0.9))[0, 1]
         assert d == pytest.approx(math.sqrt(0.08), abs=1e-12)
 
     def test_antipodal_maximum(self):
-        d = toroidal_distance((0.0, 0.0), (0.5, 0.5))
+        d = dist((0.0, 0.0), (0.5, 0.5))[0, 1]
         assert d == pytest.approx(math.sqrt(0.5), abs=1e-12)
 
     @given(point, point)
     @settings(max_examples=200)
     def test_symmetry_and_bound(self, a, b):
-        d = toroidal_distance(a, b)
-        assert d == toroidal_distance(b, a)
-        assert 0.0 <= d <= math.sqrt(0.5) + 1e-12
+        d = dist(a, b)
+        assert d[0, 1] == d[1, 0]
+        assert 0.0 <= d[0, 1] <= math.sqrt(0.5) + 1e-12
 
     @given(point, point, point)
     @settings(max_examples=300)
     def test_triangle_inequality(self, a, b, c):
-        assert toroidal_distance(a, c) <= (
-            toroidal_distance(a, b) + toroidal_distance(b, c) + 1e-12
-        )
+        d = dist(a, b, c)
+        assert d[0, 2] <= d[0, 1] + d[1, 2] + 1e-12
 
     def test_matrix_agrees_with_scalar(self):
         pts = rng(11).random((8, 2))
@@ -122,39 +88,6 @@ class TestToroidalDistance:
             for j in range(8):
                 assert d[i, j] == pytest.approx(
                     toroidal_distance(pts[i], pts[j]), abs=1e-12)
-
-
-class TestDiskGraph:
-    def test_tiny_rho_empty(self):
-        pos = sample_positions(20, rng(2))
-        assert disk_graph(pos, DiskParams(rho=1e-9)).edge_count == 0
-
-    def test_known_pair(self):
-        pos = Positions(points=np.array([[0.1, 0.1], [0.9, 0.9]]))
-        assert disk_graph(pos, DiskParams(rho=0.3)).has_edge(1, 2)
-        assert not disk_graph(pos, DiskParams(rho=0.28)).has_edge(1, 2)
-
-    def test_edge_rate_pi_rho_squared(self):
-        trials = 100_000
-        r = rng(6)
-        rho = 0.3
-        pts = r.random((trials, 2, 2))
-        d = np.abs(pts[:, 0, :] - pts[:, 1, :])
-        d = np.minimum(d, 1.0 - d)
-        rate = float((np.hypot(d[:, 0], d[:, 1]) < rho).mean())
-        q = math.pi * rho * rho
-        assert abs(rate - q) <= 3 * math.sqrt(q * (1 - q) / trials)
-
-    def test_monotone_in_rho(self):
-        pos = sample_positions(60, rng(8))
-        counts = [disk_graph(pos, DiskParams(rho=r_)).edge_count
-                  for r_ in (0.05, 0.1, 0.2, 0.4)]
-        assert counts == sorted(counts)
-
-    def test_reproducible(self):
-        a = disk_graph(sample_positions(30, rng(10)), DiskParams(rho=0.2))
-        b = disk_graph(sample_positions(30, rng(10)), DiskParams(rho=0.2))
-        assert a == b
 
 
 class TestMatchRho:

@@ -5,9 +5,16 @@ import pytest
 from pairkey import cli
 from pairkey import montecarlo as mc
 
+import oracles
+
 
 def run(argv):
     return cli.main(argv)
+
+
+def read_edges(path):
+    return [tuple(int(x) for x in line.split())
+            for line in path.read_text().splitlines()]
 
 
 class TestParseGrids:
@@ -129,6 +136,31 @@ class TestSimulateCommand:
         assert all(r.split(",")[4] == "15" for r in rows)  # override wins
         assert all(r.split(",")[1] == "12" for r in rows)  # file value kept
 
+    def test_config_unknown_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 12, "K": "2", "p": [0.5], "trails": 3,
+                                   "seed": 5}))
+        out = tmp_path / "c.csv"
+        rc = run(["simulate", "--config", str(cfg), "--workers", "1",
+                  "--out", str(out)])
+        assert rc == 1
+        assert "trails" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_workers_below_one_rejected(self, tmp_path, capsys):
+        rc = run(["simulate", "--n", "10", "--K", "2", "--p", "0.5",
+                  "--trials", "2", "--seed", "1", "--workers", "0",
+                  "--out", str(tmp_path / "w.csv")])
+        assert rc == 1
+        assert "--workers" in capsys.readouterr().err
+
+    def test_env_workers_below_one_rejected(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("PAIRKEY_WORKERS", "-2")
+        rc = run(["figure", "fig2", "--seed", "1", "--trials", "1",
+                  "--out", str(tmp_path / "f.csv")])
+        assert rc == 1
+        assert "PAIRKEY_WORKERS" in capsys.readouterr().err
+
     def test_disk_forced_via_flag(self, tmp_path):
         out = tmp_path / "d.csv"
         rc = run(["simulate", "--n", "10", "--K", "2", "--p", "0.9",
@@ -186,15 +218,40 @@ class TestDumpInstance:
         assert all(len(line.split(": ")[1].split()) == 3 for line in pairing)
 
     def test_intersection_subset_of_both(self, tmp_path):
-        from pairkey.graph import read_edge_list
-
         outdir = tmp_path / "inst"
         assert run(["dump-instance", "--n", "25", "--K", "4", "--p", "0.4",
                     "--seed", "5", "--outdir", str(outdir)]) == 0
-        g = read_edge_list(outdir / "channel.edges", 25)
-        h = read_edge_list(outdir / "pairwise.edges", 25)
-        hg = read_edge_list(outdir / "intersection.edges", 25)
-        assert set(hg.edges()) == set(h.edges()) & set(g.edges())
+        g = read_edges(outdir / "channel.edges")
+        h = read_edges(outdir / "pairwise.edges")
+        hg = read_edges(outdir / "intersection.edges")
+        for edges in (g, h, hg):
+            assert edges == sorted(set(edges))
+            assert all(1 <= i < j <= 25 for i, j in edges)
+        assert set(hg) == set(h) & set(g)
+
+    @pytest.mark.parametrize("n,K,p,seed", [(2, 1, 0.5, 3), (6, 5, 0.7, 4),
+                                            (30, 3, 0.4, 5), (50, 5, 0.2, 42)])
+    def test_matches_oracle(self, tmp_path, n, K, p, seed):
+        assert run(["dump-instance", "--n", str(n), "--K", str(K),
+                    "--p", str(p), "--seed", str(seed),
+                    "--outdir", str(tmp_path)]) == 0
+        rng = mc.rng_from_entropy((seed, 201, n, K))
+        partners, keyed, up, both = oracles.sample_instance(n, K, p, "on_off", rng)
+        for name, pairs in (("pairwise.edges", keyed), ("channel.edges", up),
+                            ("intersection.edges", both)):
+            assert read_edges(tmp_path / name) == \
+                sorted((i + 1, j + 1) for i, j in pairs), name
+        labels = oracles.component_labels(n, both)
+        assert (tmp_path / "intersection.components").read_text() == \
+            f"# components: {max(labels) + 1}\n" + "".join(
+                f"{i} {lab}\n" for i, lab in enumerate(labels, start=1))
+        assert (tmp_path / "pairing.txt").read_text() == "".join(
+            f"{i}: {' '.join(str(j + 1) for j in sorted(s))}\n"
+            for i, s in enumerate(partners, start=1))
+
+    def test_bad_p_exit_one(self, tmp_path):
+        assert run(["dump-instance", "--n", "5", "--K", "2", "--p", "0",
+                    "--seed", "1", "--outdir", str(tmp_path)]) == 1
 
     def test_deterministic(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"

@@ -2,31 +2,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pairkey import montecarlo as mc
 from pairkey import theory as th
-from pairkey.channels import ChannelParams, DiskParams, disk_graph, match_rho, \
-    sample_er, sample_positions
-from pairkey.graph import intersect, is_connected, isolated_count
-from pairkey.scheme import SchemeParams, k_adjacency_graph, sample_pairing
+
+import oracles
 
 
-def object_path_trial(n, K, p, channel, entropy):
-    """Compose the trial from the object-level pieces; must agree bitwise
-    with run_trial given the same entropy."""
-    rng = mc.rng_from_entropy(entropy)
-    pt = sample_pairing(SchemeParams(n=n, K=K), rng)
-    h = k_adjacency_graph(pt)
-    if channel == "on_off":
-        g = sample_er(n, ChannelParams(p=p), rng)
-    else:
-        rho = match_rho(p, allow_large_rho=(channel == "disk_forced")).rho
-        pos = sample_positions(n, rng)
-        g = disk_graph(pos, DiskParams(rho=rho, forced=rho >= 0.5))
-    hg = intersect(h, g)
-    return mc.TrialOutcome(connected=is_connected(hg),
-                           isolated_count=isolated_count(hg),
-                           edge_count=hg.edge_count)
+def oracle_trial(n, K, p, channel, entropy):
+    """The pure-Python trial on the same random numbers; must agree with
+    run_trial given the same entropy."""
+    return mc.TrialOutcome(*oracles.trial(n, K, p, channel,
+                                          mc.rng_from_entropy(entropy)))
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=8))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = sorted(set(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))
+                            if pairs else st.just([]))))
+    return n, edges
 
 
 class TestRunTrial:
@@ -47,17 +44,26 @@ class TestRunTrial:
                 assert out.isolated_count == 0
 
     @pytest.mark.parametrize("channel", ["on_off", "disk"])
-    def test_matches_object_path(self, channel):
+    def test_matches_oracle(self, channel):
         for t in range(25):
             e = mc.trial_entropy(11, channel, 25, 0, 0, t)
             assert mc.run_trial(25, 4, 0.4, channel, e) == \
-                object_path_trial(25, 4, 0.4, channel, e)
+                oracle_trial(25, 4, 0.4, channel, e)
 
-    def test_forced_channel_matches_object_path(self):
+    def test_forced_channel_matches_oracle(self):
         for t in range(10):
             e = mc.trial_entropy(11, "disk_forced", 25, 0, 0, t)
             assert mc.run_trial(25, 4, 0.9, "disk_forced", e) == \
-                object_path_trial(25, 4, 0.9, "disk_forced", e)
+                oracle_trial(25, 4, 0.9, "disk_forced", e)
+
+    @pytest.mark.parametrize("n,K,p", [(2, 1, 0.5), (5, 4, 0.3), (6, 2, 1.0),
+                                       (30, 29, 0.1), (40, 1, 0.7)])
+    def test_edge_cases_match_oracle(self, n, K, p):
+        for channel in ("on_off", "disk_forced"):
+            for t in range(8):
+                e = mc.trial_entropy(5, channel, n, K, 0, t)
+                assert mc.run_trial(n, K, p, channel, e) == \
+                    oracle_trial(n, K, p, channel, e)
 
     def test_full_visibility_connected(self):
         hits = sum(
@@ -98,6 +104,17 @@ class TestSweep:
         assert len(t.rows) == 6
         keys = [(r.channel, r.p, r.K) for r in t.rows]
         assert keys == sorted(keys)
+
+    def test_workers_below_one_rejected(self):
+        with pytest.raises(ValueError, match="workers"):
+            mc.sweep(SMALL, workers=0)
+
+    def test_pool_size_clamped_to_cells(self):
+        assert mc.pool_size(64, 6) == 6
+        assert mc.pool_size(3, 6) == 3
+        assert mc.pool_size(1, 6) == 1
+        with pytest.raises(ValueError):
+            mc.pool_size(0, 6)
 
     def test_workers_bit_identical(self):
         t1 = mc.sweep(SMALL, workers=1)
@@ -173,27 +190,17 @@ class TestFindCrossover:
             mc.find_crossover(self._table([0.5]), 0.9)
 
 
-class TestCompareChannels:
-    def test_same_channel_zero_delta(self):
-        t1 = mc.sweep(SMALL)
-        t2 = mc.sweep(SMALL)
-        for (r1, r2) in zip(t1.rows, t2.rows):
-            assert r1.prob_connected == r2.prob_connected
-
-    def test_comparison_structure(self):
-        cfg = mc.ExperimentConfig(n=30, K_grid=(2, 5, 9), p_grid=(0.3,),
-                                  trials=30, seed=21)
-        cmp = mc.compare_channels(cfg)
-        assert len(cmp.deltas) == 3
-        assert len(cmp.crossovers) == 1
-        assert cmp.forced_rho_ps == ()
-
-    def test_forced_flagging(self):
-        cfg = mc.ExperimentConfig(n=20, K_grid=(3,), p_grid=(0.9,),
-                                  trials=10, seed=2)
-        cmp = mc.compare_channels(cfg, allow_large_rho=True)
-        assert cmp.forced_rho_ps == (0.9,)
-        assert cmp.table_disk.rows[0].channel == "disk_forced"
+class TestComponents:
+    @given(small_graphs())
+    @settings(max_examples=200)
+    def test_labels_match_bfs_oracle(self, graph):
+        n, edges = graph
+        a = np.array([i for i, _ in edges], dtype=np.int64)
+        b = np.array([j for _, j in edges], dtype=np.int64)
+        count, labels = mc.components(n, a, b, return_labels=True)
+        expected = oracles.component_labels(n, edges)
+        assert labels.tolist() == expected
+        assert count == max(expected) + 1 == mc.components(n, a, b)
 
 
 class TestEstimateEdgeProb:
@@ -205,6 +212,10 @@ class TestEstimateEdgeProb:
         q = th.edge_prob(200, 12, 0.2)
         est, se = mc.estimate_edge_prob(200, 12, 0.2, trials=50_000, seed=4)
         assert abs(est - q) <= 3 * math.sqrt(q * (1 - q) / 50_000)
+
+    def test_no_trials_rejected(self):
+        with pytest.raises(ValueError, match="trials"):
+            mc.estimate_edge_prob(10, 3, 0.4, trials=0, seed=9)
 
     def test_deterministic(self):
         a = mc.estimate_edge_prob(10, 3, 0.4, trials=5000, seed=9)

@@ -4,55 +4,54 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from pairkey.graph import Graph, degree, isolated_count
-from pairkey.montecarlo import estimate_edge_prob
-from pairkey.scheme import (
-    PairingTable,
-    SchemeParams,
-    build_key_rings,
-    k_adjacency_graph,
-    membership_matrix,
-    sample_pairing,
-)
+from pairkey.montecarlo import estimate_edge_prob, keyed_pairs
+from pairkey.scheme import partners_from_uniforms, sample_gamma_matrix
+
+from oracles import partner_sets
 
 
 def rng(seed=12345):
     return np.random.default_rng(seed)
 
 
-def make_table(n, K, gamma_sets):
-    gamma = np.array([sorted(s) for s in gamma_sets])
-    return PairingTable(n=n, K=K, gamma=gamma)
+def partners(gamma, i):
+    """1-based partner set of node i (1-based)."""
+    return {int(j) + 1 for j in gamma[i - 1]}
 
 
-class TestSchemeParams:
+def degrees(n, a, b):
+    return np.bincount(np.concatenate((a, b)), minlength=n)
+
+
+class TestDomain:
     def test_rejects_k_geq_n(self):
         with pytest.raises(ValueError):
-            SchemeParams(n=4, K=4)
+            sample_gamma_matrix(4, 4, rng())
 
     def test_rejects_tiny(self):
         with pytest.raises(ValueError):
-            SchemeParams(n=1, K=1)
+            sample_gamma_matrix(1, 1, rng())
         with pytest.raises(ValueError):
-            SchemeParams(n=5, K=0)
+            sample_gamma_matrix(5, 0, rng())
 
 
-class TestSamplePairing:
+class TestSampleGammaMatrix:
     def test_n2_forced(self):
         for seed in range(5):
-            pt = sample_pairing(SchemeParams(n=2, K=1), rng(seed))
-            assert pt.partners(1) == {2}
-            assert pt.partners(2) == {1}
+            gamma = sample_gamma_matrix(2, 1, rng(seed))
+            assert partners(gamma, 1) == {2}
+            assert partners(gamma, 2) == {1}
 
     def test_k_equals_n_minus_1_forced(self):
-        pt = sample_pairing(SchemeParams(n=4, K=3), rng())
+        gamma = sample_gamma_matrix(4, 3, rng())
         for i in range(1, 5):
-            assert pt.partners(i) == set(range(1, 5)) - {i}
+            assert partners(gamma, i) == set(range(1, 5)) - {i}
 
     def test_sizes_and_no_self(self):
-        pt = sample_pairing(SchemeParams(n=30, K=7), rng())
+        gamma = sample_gamma_matrix(30, 7, rng())
+        assert gamma.shape == (30, 7)
         for i in range(1, 31):
-            s = pt.partners(i)
+            s = partners(gamma, i)
             assert len(s) == 7 and i not in s
 
     def test_uniform_binary_choice(self):
@@ -60,9 +59,8 @@ class TestSamplePairing:
         trials = 100_000
         r = rng(7)
         hits = 0
-        params = SchemeParams(n=3, K=1)
         for _ in range(trials):
-            hits += 2 in sample_pairing(params, r).partners(1)
+            hits += 2 in partners(sample_gamma_matrix(3, 1, r), 1)
         sigma = math.sqrt(0.25 / trials)
         assert abs(hits / trials - 0.5) <= 3 * sigma
 
@@ -71,9 +69,8 @@ class TestSamplePairing:
         trials = 30_000
         r = rng(11)
         counts = {frozenset(c): 0 for c in combinations((2, 3, 4, 5), 2)}
-        params = SchemeParams(n=5, K=2)
         for _ in range(trials):
-            counts[frozenset(sample_pairing(params, r).partners(1))] += 1
+            counts[frozenset(partners(sample_gamma_matrix(5, 2, r), 1))] += 1
         expected = trials / 6
         chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
         # 5 dof; P(chi2 > 20.5) ~ 1e-3
@@ -83,65 +80,53 @@ class TestSamplePairing:
         # P(i in Gamma_j) = K/(n-1)
         n, K, trials = 12, 4, 20_000
         r = rng(3)
-        params = SchemeParams(n=n, K=K)
-        hits = sum(1 in sample_pairing(params, r).partners(5) for _ in range(trials))
+        hits = sum(1 in partners(sample_gamma_matrix(n, K, r), 5)
+                   for _ in range(trials))
         q = K / (n - 1)
         assert abs(hits / trials - q) <= 3 * math.sqrt(q * (1 - q) / trials)
 
     def test_deterministic_given_seed(self):
-        a = sample_pairing(SchemeParams(n=20, K=5), rng(99))
-        b = sample_pairing(SchemeParams(n=20, K=5), rng(99))
-        assert np.array_equal(a.gamma, b.gamma)
+        assert np.array_equal(sample_gamma_matrix(20, 5, rng(99)),
+                              sample_gamma_matrix(20, 5, rng(99)))
+
+    @pytest.mark.parametrize("n,K", [(2, 1), (6, 2), (6, 5), (25, 4)])
+    def test_matches_ranked_uniform_oracle(self, n, K):
+        gamma = sample_gamma_matrix(n, K, rng(n + K))
+        u = rng(n + K).random((n, n - 1))
+        assert [set(row.tolist()) for row in gamma] == partner_sets(u, K)
+
+    def test_batched_rows_match_single_draws(self):
+        # the validation suite maps a (t, n, n-1) batch in one call
+        u = rng(4).random((3, 6, 5))
+        for K in (2, 5):
+            batch = partners_from_uniforms(u, K)
+            for t in range(3):
+                assert np.array_equal(batch[t], partners_from_uniforms(u[t], K))
 
 
-class TestKeyRings:
-    def test_n2_mutual(self):
-        pt = make_table(2, 1, [{2}, {1}])
-        rings = build_key_rings(pt)
-        assert rings[0].keys == {(1, 2, 1), (2, 1, 1)}
-        assert len(rings[0].keys) == 2 and len(rings[1].keys) == 2
-
-    def test_cycle_example(self):
-        pt = make_table(3, 1, [{2}, {3}, {1}])
-        rings = build_key_rings(pt)
-        assert all(len(r.keys) == 2 for r in rings)
-
-    def test_ring_size_formula(self):
-        pt = sample_pairing(SchemeParams(n=25, K=4), rng(5))
-        rings = build_key_rings(pt)
-        for i in range(1, 26):
-            chosen_by = sum(pt.is_paired(j, i) for j in range(1, 26) if j != i)
-            assert len(rings[i - 1].keys) == 4 + chosen_by
-
-    def test_pair_overlap_zero_one_two(self):
-        pt = sample_pairing(SchemeParams(n=10, K=3), rng(8))
-        rings = build_key_rings(pt)
-        for i in range(1, 11):
-            for j in range(i + 1, 11):
-                overlap = len(rings[i - 1].keys & rings[j - 1].keys)
-                assert overlap in (0, 1, 2)
-                mutual = pt.is_paired(i, j) and pt.is_paired(j, i)
-                assert (overlap == 2) == mutual
-
-    def test_overlap_matches_pairing_predicate(self):
-        # ring intersection nonempty iff one side picked the other
-        pt = sample_pairing(SchemeParams(n=15, K=3), rng(21))
-        rings = build_key_rings(pt)
-        for i in range(1, 16):
-            for j in range(i + 1, 16):
-                via_rings = bool(rings[i - 1].keys & rings[j - 1].keys)
-                via_pairing = pt.is_paired(i, j) or pt.is_paired(j, i)
-                assert via_rings == via_pairing
-
-
-class TestKAdjacencyGraph:
+class TestKeyedPairs:
     def test_hand_traced(self):
-        pt = make_table(3, 1, [{2}, {3}, {2}])
-        assert k_adjacency_graph(pt) == Graph(3, [(1, 2), (2, 3)])
+        # node 1 picks 2, node 2 picks 3, node 3 picks 2 (0-based below)
+        a, b = keyed_pairs(np.array([[1], [2], [1]]))
+        assert list(zip(a.tolist(), b.tolist())) == [(0, 1), (1, 2)]
+
+    def test_sorted_unique_and_ordered(self):
+        gamma = sample_gamma_matrix(40, 6, rng(1))
+        a, b = keyed_pairs(gamma)
+        codes = a * 40 + b
+        assert np.all(a < b)
+        assert np.all(np.diff(codes) > 0)
 
     def test_complete_when_k_max(self):
-        pt = sample_pairing(SchemeParams(n=6, K=5), rng())
-        assert k_adjacency_graph(pt).edge_count == 15
+        a, _ = keyed_pairs(sample_gamma_matrix(6, 5, rng()))
+        assert a.size == 15
+
+    def test_matches_pairing_predicate(self):
+        gamma = sample_gamma_matrix(12, 4, rng(13))
+        a, b = keyed_pairs(gamma)
+        expected = {(min(i, int(j)), max(i, int(j)))
+                    for i in range(12) for j in gamma[i]}
+        assert set(zip(a.tolist(), b.tolist())) == expected
 
     def test_edge_rate_matches_formula(self):
         # lambda_5(2) = 2*2/4 - (2/4)^2 = 0.75, via the pair-edge estimator
@@ -149,34 +134,17 @@ class TestKAdjacencyGraph:
         assert abs(est - 0.75) <= 3 * math.sqrt(0.75 * 0.25 / 100_000)
 
     def test_degree_at_least_k_no_isolated(self):
-        pt = sample_pairing(SchemeParams(n=40, K=3), rng(2))
-        h = k_adjacency_graph(pt)
-        assert isolated_count(h) == 0
-        assert all(degree(h, i) >= 3 for i in range(1, 41))
+        a, b = keyed_pairs(sample_gamma_matrix(40, 3, rng(2)))
+        assert np.all(degrees(40, a, b) >= 3)
 
     def test_mean_degree(self):
         n, K, reps = 20, 3, 2000
         r = rng(31)
-        params = SchemeParams(n=n, K=K)
         degs = []
         for _ in range(reps):
-            h = k_adjacency_graph(sample_pairing(params, r))
-            degs.extend(degree(h, i) for i in range(1, n + 1))
+            a, b = keyed_pairs(sample_gamma_matrix(n, K, r))
+            degs.extend(degrees(n, a, b).tolist())
         expected = K + (n - K - 1) * K / (n - 1)
         degs = np.asarray(degs, dtype=float)
         stderr = degs.std() / math.sqrt(reps)  # nodes within a draw correlate
         assert abs(degs.mean() - expected) <= 3 * stderr
-
-    def test_graph_matches_membership_matrix(self):
-        pt = sample_pairing(SchemeParams(n=12, K=4), rng(13))
-        m = membership_matrix(pt)
-        h = k_adjacency_graph(pt)
-        adj = m | m.T
-        for i in range(1, 13):
-            for j in range(i + 1, 13):
-                assert h.has_edge(i, j) == bool(adj[i - 1, j - 1])
-
-
-def test_pairing_table_text_format():
-    pt = make_table(3, 1, [{3}, {1}, {2}])
-    assert pt.to_text() == "1: 3\n2: 1\n3: 2\n"

@@ -1,0 +1,52 @@
+"""Pins of the random stream: sha256 digests of small fixed-seed outputs.
+
+A refactor that keeps the stream leaves these unchanged. A deliberate change
+to how random numbers are drawn must update them, and say so in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from pairkey import cli
+from pairkey import montecarlo as mc
+
+SEED = 2026
+
+SWEEP_DIGESTS = {
+    "on_off": ((0.2, 0.5, 0.9),
+               "a9db0ca115b62ccf6387db68e01b21825440a4b2a3728d977d609bab0b0bba6b"),
+    "disk": ((0.2, 0.5),
+             "95e468ad0ed2c2d5b5b3e1849aecb4abb97cfead002a9374d31d0da034c5c0d4"),
+    "disk_forced": ((0.2, 0.5, 0.9),
+                    "a9fe2309b4d0aafbdbf589ad45be37504e0c128475faf56e16309c44bfbaa522"),
+}
+
+DUMP_FILES = ("pairing.txt", "pairwise.edges", "channel.edges",
+              "intersection.edges", "intersection.components")
+
+# (n, K, p, seed) -> sha256 over DUMP_FILES' bytes, in that order
+DUMP_DIGESTS = {
+    (2, 1, 0.5, 3): "f8ee49fe446d91c2230b451d673a1409c62a66e9ce36aaa28e6cd0db6a5805ad",
+    (6, 5, 0.7, 4): "0433244d4ba0a9bc2fc80ecf65794213bd92cc9630dffb04f84c54fc28a39691",
+    (30, 3, 0.4, 5): "951be88456710b8b00ab1b010ef0ad88a9065b5ab81a28978a07eb5f752e8b89",
+    (50, 5, 0.2, 42): "04332a1d75224223a3d677e1fb5839e9f18ee3b49282dae53b0bae584d6cb179",
+}
+
+
+@pytest.mark.parametrize("channel", sorted(SWEEP_DIGESTS))
+def test_sweep_csv_digest(channel):
+    p_grid, digest = SWEEP_DIGESTS[channel]
+    cfg = mc.ExperimentConfig(n=20, K_grid=(1, 3, 19), p_grid=p_grid,
+                              trials=8, seed=SEED, channel=channel)
+    text = mc.sweep(cfg, workers=1).to_csv_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("instance", sorted(DUMP_DIGESTS))
+def test_dump_instance_digest(instance, tmp_path):
+    cli.dump_instance(*instance, outdir=str(tmp_path))
+    h = hashlib.sha256()
+    for name in DUMP_FILES:
+        h.update((tmp_path / name).read_bytes())
+    assert h.hexdigest() == DUMP_DIGESTS[instance]
