@@ -10,6 +10,7 @@ from .montecarlo import (
     TrialOutcome,
     ValidationReport,
     components,
+    degrees,
     find_crossover,
     keyed_pairs,
     run_trial,

@@ -121,6 +121,11 @@ def components(n: int, a: np.ndarray, b: np.ndarray, return_labels: bool = False
     return _sparse_components(graph, directed=False, return_labels=return_labels)
 
 
+def degrees(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Degree of each node 0..n-1 of the graph with edges (a, b)."""
+    return np.bincount(np.concatenate((a, b)), minlength=n)
+
+
 def run_trial(n: int, K: int, p: float, channel: str, trial_seed) -> TrialOutcome:
     """Sample one pairing, one channel graph, intersect, and measure.
 
@@ -135,7 +140,7 @@ def run_trial(n: int, K: int, p: float, channel: str, trial_seed) -> TrialOutcom
         raise ValueError(f"channel must be one of {CHANNELS}, got {channel!r}")
     rng = rng_from_entropy(trial_seed)
     a, b = _intersection_edges(n, K, p, channel, rng)
-    iso = int(np.count_nonzero(np.bincount(np.concatenate((a, b)), minlength=n) == 0))
+    iso = int(np.count_nonzero(degrees(n, a, b) == 0))
     # an isolated node settles connectivity without the component search
     connected = iso == 0 and components(n, a, b) == 1
     return TrialOutcome(connected=connected, isolated_count=iso, edge_count=int(a.size))

@@ -1,12 +1,15 @@
 """Brute-force oracles, independent of the library's formulas: exhaustive
-enumeration over pairings (and channel states where feasible), and a
-pure-Python sampler of one trial's graph that draws the same random numbers
-in the same order as the array kernel."""
+enumeration over pairings (and channel states where feasible), the key rings
+of a pairing, and a pure-Python sampler of one trial's graph that draws the
+same random numbers in the same order as the array kernel. Also two stand-in
+generators that script or record the kernel's draws."""
 
 import math
 from collections import deque
 from fractions import Fraction
 from itertools import combinations, product
+
+import numpy as np
 
 
 def all_pairings(n, K):
@@ -70,6 +73,18 @@ def exact_isolation_probability_full_enumeration(n, K, p):
             if isolated:
                 total += w
     return total
+
+
+def key_rings(partners):
+    """Key ring of each node, 0-based: node i generates key (i, j) for every
+    partner j it picked and also holds every key (j, i) made by a node j
+    that picked it."""
+    rings = [set() for _ in partners]
+    for i, picked in enumerate(partners):
+        for j in picked:
+            rings[i].add((i, j))
+            rings[j].add((i, j))
+    return rings
 
 
 def toroidal_distance(a, b):
@@ -136,3 +151,28 @@ def trial(n, K, p, channel, rng):
     edges = sample_instance(n, K, p, channel, rng)[3]
     touched = {v for e in edges for v in e}
     return max(component_labels(n, edges)) == 0, n - len(touched), len(edges)
+
+
+class ScriptedRng:
+    """Stands in for a numpy Generator: each random(shape) call returns the
+    next scripted array, which must have the requested shape."""
+
+    def __init__(self, *draws):
+        self.draws = [np.asarray(d, dtype=float) for d in draws]
+
+    def random(self, shape):
+        out = self.draws.pop(0)
+        assert out.shape == np.empty(shape).shape
+        return out
+
+
+class RecordingRng:
+    """Wraps a numpy Generator and keeps every array random() returns."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.draws = []
+
+    def random(self, shape):
+        self.draws.append(self.rng.random(shape))
+        return self.draws[-1]

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from pairkey import montecarlo as mc
 from pairkey.channels import DiskParams, match_rho, toroidal_distance_matrix
 
-from oracles import toroidal_distance
+from oracles import RecordingRng, ScriptedRng, toroidal_distance
 
 coord = st.floats(min_value=0.0, max_value=1.0, exclude_max=True,
                   allow_nan=False)
@@ -30,6 +30,12 @@ def edge_rate(p, channel, trials, seed):
 
 
 class TestParams:
+    def test_channel_params_range(self):
+        mc.run_trial(5, 2, 1.0, "on_off", 0)
+        for p in (0.0, 1.5):
+            with pytest.raises(ValueError):
+                mc.run_trial(5, 2, p, "on_off", 0)
+
     def test_disk_params_range(self):
         DiskParams(rho=0.3)
         with pytest.raises(ValueError):
@@ -37,23 +43,49 @@ class TestParams:
         DiskParams(rho=0.6, forced=True)
 
 
-class TestChannelEdgeRate:
-    def test_on_off(self):
+class TestSampleEr:
+    def test_p1_complete(self):
+        assert mc.run_trial(10, 9, 1.0, "on_off", 0).edge_count == 45
+
+    def test_edge_rate(self):
         trials = 20_000
         rate = edge_rate(0.5, "on_off", trials, 5)
         assert abs(rate - 0.5) <= 3 * math.sqrt(0.25 / trials)
 
-    def test_disk_pi_rho_squared(self):
-        trials = 20_000
-        q = 0.3
-        rate = edge_rate(q, "disk", trials, 6)
-        assert abs(rate - q) <= 3 * math.sqrt(q * (1 - q) / trials)
-
-    def test_on_off_typically_connected_at_n50_p02(self):
+    def test_typically_connected_at_n50_p02(self):
         # with every pair keyed the intersection is the channel graph itself
         connected = sum(mc.run_trial(50, 49, 0.2, "on_off", (7, t)).connected
                         for t in range(50))
         assert connected >= 48
+
+    def test_reproducible(self):
+        a1, b1 = mc._intersection_edges(30, 29, 0.3, "on_off", rng(9))
+        a2, b2 = mc._intersection_edges(30, 29, 0.3, "on_off", rng(9))
+        assert np.array_equal(a1, a2) and np.array_equal(b1, b2)
+
+
+def positions(n, seed):
+    """The node positions of one disk trial: its draw after the pairing."""
+    r = RecordingRng(rng(seed))
+    mc._intersection_edges(n, 1, 0.2, "disk", r)
+    return r.draws[1]
+
+
+class TestSamplePositions:
+    def test_single_point_in_range(self):
+        # one point per node in [0, 1)^2
+        pts = positions(2, 0)
+        assert pts.shape == (2, 2)
+        assert np.all((0.0 <= pts) & (pts < 1.0))
+
+    def test_coordinate_means(self):
+        pts = np.concatenate([positions(50, seed) for seed in range(2000)])
+        sigma = math.sqrt(1 / 12 / pts.shape[0])
+        for axis in (0, 1):
+            assert abs(pts[:, axis].mean() - 0.5) <= 3 * sigma
+
+    def test_reproducible(self):
+        assert np.array_equal(positions(20, 4), positions(20, 4))
 
 
 class TestToroidalDistance:
@@ -108,3 +140,40 @@ class TestMatchRho:
 
     def test_boundary(self):
         assert not match_rho(0.7).forced  # rho ~ 0.472 < 0.5
+
+
+def disk_edges(n, p, seed):
+    """Edge pairs of a disk trial with every pair keyed (K = n-1)."""
+    a, b = mc._intersection_edges(n, n - 1, p, "disk", rng(seed))
+    return set(zip(a.tolist(), b.tolist()))
+
+
+class TestDiskGraph:
+    def test_tiny_rho_empty(self):
+        assert disk_edges(20, 1e-18, 2) == set()
+
+    def test_known_pair(self):
+        # the two points are sqrt(0.08) ~ 0.283 apart across the corner
+        def linked(rho):
+            draws = ScriptedRng(np.zeros((2, 1)), [[0.1, 0.1], [0.9, 0.9]])
+            a, _ = mc._intersection_edges(2, 1, math.pi * rho * rho, "disk", draws)
+            return a.size == 1
+
+        assert linked(0.3)
+        assert not linked(0.28)
+
+    def test_edge_rate_pi_rho_squared(self):
+        trials = 20_000
+        q = 0.3
+        rate = edge_rate(q, "disk", trials, 6)
+        assert abs(rate - q) <= 3 * math.sqrt(q * (1 - q) / trials)
+
+    def test_monotone_in_rho(self):
+        # same seed, same positions: a longer range keeps every link
+        graphs = [disk_edges(60, math.pi * r_ * r_, 8) for r_ in (0.05, 0.1, 0.2, 0.4)]
+        for smaller, larger in zip(graphs, graphs[1:]):
+            assert smaller <= larger
+        assert len(graphs[0]) < len(graphs[-1])
+
+    def test_reproducible(self):
+        assert disk_edges(30, 0.2, 10) == disk_edges(30, 0.2, 10)

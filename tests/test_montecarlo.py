@@ -1,29 +1,21 @@
 import math
+from dataclasses import replace
 
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from pairkey import montecarlo as mc
 from pairkey import theory as th
+from pairkey.channels import match_rho
 
 import oracles
 
 
-def oracle_trial(n, K, p, channel, entropy):
-    """The pure-Python trial on the same random numbers; must agree with
-    run_trial given the same entropy."""
+def object_path_trial(n, K, p, channel, entropy):
+    """The trial composed from Python sets of pairs and a breadth-first
+    search on the same random numbers; must agree with run_trial given the
+    same entropy."""
     return mc.TrialOutcome(*oracles.trial(n, K, p, channel,
                                           mc.rng_from_entropy(entropy)))
-
-
-@st.composite
-def small_graphs(draw):
-    n = draw(st.integers(min_value=1, max_value=8))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    edges = sorted(set(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))
-                            if pairs else st.just([]))))
-    return n, edges
 
 
 class TestRunTrial:
@@ -44,26 +36,26 @@ class TestRunTrial:
                 assert out.isolated_count == 0
 
     @pytest.mark.parametrize("channel", ["on_off", "disk"])
-    def test_matches_oracle(self, channel):
+    def test_matches_object_path(self, channel):
         for t in range(25):
             e = mc.trial_entropy(11, channel, 25, 0, 0, t)
             assert mc.run_trial(25, 4, 0.4, channel, e) == \
-                oracle_trial(25, 4, 0.4, channel, e)
+                object_path_trial(25, 4, 0.4, channel, e)
 
-    def test_forced_channel_matches_oracle(self):
+    def test_forced_channel_matches_object_path(self):
         for t in range(10):
             e = mc.trial_entropy(11, "disk_forced", 25, 0, 0, t)
             assert mc.run_trial(25, 4, 0.9, "disk_forced", e) == \
-                oracle_trial(25, 4, 0.9, "disk_forced", e)
+                object_path_trial(25, 4, 0.9, "disk_forced", e)
 
     @pytest.mark.parametrize("n,K,p", [(2, 1, 0.5), (5, 4, 0.3), (6, 2, 1.0),
                                        (30, 29, 0.1), (40, 1, 0.7)])
-    def test_edge_cases_match_oracle(self, n, K, p):
+    def test_edge_cases_match_object_path(self, n, K, p):
         for channel in ("on_off", "disk_forced"):
             for t in range(8):
                 e = mc.trial_entropy(5, channel, n, K, 0, t)
                 assert mc.run_trial(n, K, p, channel, e) == \
-                    oracle_trial(n, K, p, channel, e)
+                    object_path_trial(n, K, p, channel, e)
 
     def test_full_visibility_connected(self):
         hits = sum(
@@ -190,17 +182,37 @@ class TestFindCrossover:
             mc.find_crossover(self._table([0.5]), 0.9)
 
 
-class TestComponents:
-    @given(small_graphs())
-    @settings(max_examples=200)
-    def test_labels_match_bfs_oracle(self, graph):
-        n, edges = graph
-        a = np.array([i for i, _ in edges], dtype=np.int64)
-        b = np.array([j for _, j in edges], dtype=np.int64)
-        count, labels = mc.components(n, a, b, return_labels=True)
-        expected = oracles.component_labels(n, edges)
-        assert labels.tolist() == expected
-        assert count == max(expected) + 1 == mc.components(n, a, b)
+class TestCompareChannels:
+    def test_same_channel_zero_delta(self):
+        t1 = mc.sweep(SMALL)
+        t2 = mc.sweep(SMALL)
+        for (r1, r2) in zip(t1.rows, t2.rows):
+            assert r1.prob_connected == r2.prob_connected
+
+    def test_comparison_structure(self):
+        # both channels on one grid, in one table, compared cell by cell
+        cfg = mc.ExperimentConfig(n=30, K_grid=(2, 5, 9), p_grid=(0.3,),
+                                  trials=30, seed=21)
+        t_on = mc.sweep(cfg)
+        t_disk = mc.sweep(replace(cfg, channel="disk"))
+        both = mc.EstimateTable(rows=t_on.rows + t_disk.rows)
+        deltas = [both.cell("on_off", K, 0.3).prob_connected
+                  - both.cell("disk", K, 0.3).prob_connected for K in cfg.K_grid]
+        assert len(deltas) == 3
+        assert [r.K for r in both.column(0.3, channel="disk")] == [2, 5, 9]
+        assert mc.find_crossover(both, 0.3, channel="on_off") == \
+            mc.find_crossover(t_on, 0.3)
+        assert mc.find_crossover(both, 0.3, channel="disk") == \
+            mc.find_crossover(t_disk, 0.3)
+
+    def test_forced_flagging(self):
+        # p=0.9 needs rho >= 0.5: only the forced disk channel runs it
+        cfg = mc.ExperimentConfig(n=20, K_grid=(3,), p_grid=(0.9,),
+                                  trials=10, seed=2, channel="disk_forced")
+        assert match_rho(0.9, allow_large_rho=True).forced
+        assert mc.sweep(cfg).rows[0].channel == "disk_forced"
+        with pytest.raises(ValueError):
+            mc.sweep(replace(cfg, channel="disk"))
 
 
 class TestEstimateEdgeProb:

@@ -4,10 +4,12 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from pairkey.montecarlo import estimate_edge_prob, keyed_pairs
+from pairkey import montecarlo as mc
+from pairkey.cli import dump_instance
+from pairkey.montecarlo import degrees, estimate_edge_prob, keyed_pairs
 from pairkey.scheme import partners_from_uniforms, sample_gamma_matrix
 
-from oracles import partner_sets
+from oracles import key_rings, partner_sets
 
 
 def rng(seed=12345):
@@ -19,11 +21,16 @@ def partners(gamma, i):
     return {int(j) + 1 for j in gamma[i - 1]}
 
 
-def degrees(n, a, b):
-    return np.bincount(np.concatenate((a, b)), minlength=n)
+def pair_set(a, b):
+    return set(zip(a.tolist(), b.tolist()))
 
 
-class TestDomain:
+def partner_list(gamma):
+    """0-based partner sets, one per row of gamma."""
+    return [set(row.tolist()) for row in gamma]
+
+
+class TestSchemeParams:
     def test_rejects_k_geq_n(self):
         with pytest.raises(ValueError):
             sample_gamma_matrix(4, 4, rng())
@@ -35,7 +42,7 @@ class TestDomain:
             sample_gamma_matrix(5, 0, rng())
 
 
-class TestSampleGammaMatrix:
+class TestSamplePairing:
     def test_n2_forced(self):
         for seed in range(5):
             gamma = sample_gamma_matrix(2, 1, rng(seed))
@@ -104,7 +111,58 @@ class TestSampleGammaMatrix:
                 assert np.array_equal(batch[t], partners_from_uniforms(u[t], K))
 
 
-class TestKeyedPairs:
+class TestKeyRings:
+    def test_n2_mutual(self):
+        gamma = np.array([[1], [0]])
+        rings = key_rings(partner_list(gamma))
+        assert rings[0] == rings[1] == {(0, 1), (1, 0)}
+        # two shared keys, one link
+        assert pair_set(*keyed_pairs(gamma)) == {(0, 1)}
+
+    def test_cycle_example(self):
+        gamma = np.array([[1], [2], [0]])
+        rings = key_rings(partner_list(gamma))
+        assert all(len(r) == 2 for r in rings)
+        a, b = keyed_pairs(gamma)
+        assert a.size == 3 and degrees(3, a, b).tolist() == [2, 2, 2]
+
+    def test_ring_size_formula(self):
+        gamma = sample_gamma_matrix(25, 4, rng(5))
+        picks = partner_list(gamma)
+        rings = key_rings(picks)
+        deg = degrees(25, *keyed_pairs(gamma))
+        for i in range(25):
+            chosen_by = sum(i in picks[j] for j in range(25) if j != i)
+            mutual = sum(i in picks[j] for j in picks[i])
+            assert len(rings[i]) == 4 + chosen_by
+            # a mutual partner holds two of i's keys but is one neighbour
+            assert deg[i] == len(rings[i]) - mutual
+
+    def test_pair_overlap_zero_one_two(self):
+        gamma = sample_gamma_matrix(10, 3, rng(8))
+        picks = partner_list(gamma)
+        rings = key_rings(picks)
+        doubles = 0
+        for i in range(10):
+            for j in range(i + 1, 10):
+                overlap = len(rings[i] & rings[j])
+                assert overlap in (0, 1, 2)
+                mutual = j in picks[i] and i in picks[j]
+                assert (overlap == 2) == mutual
+                doubles += overlap == 2
+        # keyed_pairs folds each doubly shared pair into one edge
+        assert keyed_pairs(gamma)[0].size == 10 * 3 - doubles
+
+    def test_overlap_matches_pairing_predicate(self):
+        # ring intersection nonempty iff one side picked the other
+        gamma = sample_gamma_matrix(15, 3, rng(21))
+        rings = key_rings(partner_list(gamma))
+        via_rings = {(i, j) for i in range(15) for j in range(i + 1, 15)
+                     if rings[i] & rings[j]}
+        assert pair_set(*keyed_pairs(gamma)) == via_rings
+
+
+class TestKAdjacencyGraph:
     def test_hand_traced(self):
         # node 1 picks 2, node 2 picks 3, node 3 picks 2 (0-based below)
         a, b = keyed_pairs(np.array([[1], [2], [1]]))
@@ -121,12 +179,12 @@ class TestKeyedPairs:
         a, _ = keyed_pairs(sample_gamma_matrix(6, 5, rng()))
         assert a.size == 15
 
-    def test_matches_pairing_predicate(self):
+    def test_graph_matches_membership_matrix(self):
         gamma = sample_gamma_matrix(12, 4, rng(13))
-        a, b = keyed_pairs(gamma)
-        expected = {(min(i, int(j)), max(i, int(j)))
-                    for i in range(12) for j in gamma[i]}
-        assert set(zip(a.tolist(), b.tolist())) == expected
+        m = np.zeros((12, 12), dtype=bool)
+        m[np.arange(12)[:, None], gamma] = True
+        iu, ju = np.nonzero(np.triu(m | m.T))
+        assert pair_set(*keyed_pairs(gamma)) == pair_set(iu, ju)
 
     def test_edge_rate_matches_formula(self):
         # lambda_5(2) = 2*2/4 - (2/4)^2 = 0.75, via the pair-edge estimator
@@ -148,3 +206,15 @@ class TestKeyedPairs:
         degs = np.asarray(degs, dtype=float)
         stderr = degs.std() / math.sqrt(reps)  # nodes within a draw correlate
         assert abs(degs.mean() - expected) <= 3 * stderr
+
+
+def test_pairing_table_text_format(tmp_path):
+    # one line per node: its partners, 1-based and ascending
+    dump_instance(3, 2, 0.5, 1, str(tmp_path / "full"))
+    assert (tmp_path / "full" / "pairing.txt").read_text() == \
+        "1: 2 3\n2: 1 3\n3: 1 2\n"
+    dump_instance(8, 3, 0.5, 4, str(tmp_path / "part"))
+    gamma = sample_gamma_matrix(8, 3, mc.rng_from_entropy((4, 201, 8, 3)))
+    lines = (tmp_path / "part" / "pairing.txt").read_text().splitlines()
+    assert lines == [f"{i + 1}: " + " ".join(str(j + 1) for j in sorted(row))
+                     for i, row in enumerate(gamma.tolist())]
