@@ -145,9 +145,9 @@ def dump_instance(n: int, K: int, p: float, seed: int, outdir: str) -> None:
     rng = mc.rng_from_entropy((seed, 201, n, K))
     gamma = mc.sample_gamma_matrix(n, K, rng)
     a, b = mc.keyed_pairs(gamma)
-    iu, ju = np.triu_indices(n, k=1)
-    up = rng.random(iu.size) < p
+    up = mc.onoff_links(n, p, rng)
     both = up[mc.pair_index(n, a, b)]
+    iu, ju = np.triu_indices(n, k=1)
     _write_edges(out / "channel.edges", iu[up], ju[up])
     _write_edges(out / "pairwise.edges", a, b)
     _write_edges(out / "intersection.edges", a[both], b[both])

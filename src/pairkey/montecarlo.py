@@ -97,17 +97,22 @@ def pair_index(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a * (2 * n - a - 1) // 2 + b - a - 1
 
 
+def onoff_links(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """The on/off channel: one uniform per pair in pair_index order, drawn
+    after the pairing; True where the pair's link is up."""
+    return rng.random(n * (n - 1) // 2) < p
+
+
 def _intersection_edges(n: int, K: int, p: float, channel: str,
                         rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Sample one intersection graph as sorted edge arrays (a, b), a < b.
 
-    The pairing is drawn first, then the channel: C(n,2) uniforms for on/off
-    (one per pair, read only at the keyed pairs) or n positions for disk.
-    Only keyed pairs are tested against the channel.
+    The pairing is drawn first, then the channel: the on/off links or n
+    positions for disk. Only keyed pairs are tested against the channel.
     """
     a, b = keyed_pairs(sample_gamma_matrix(n, K, rng))
     if channel == "on_off":
-        up = rng.random(n * (n - 1) // 2)[pair_index(n, a, b)] < p
+        up = onoff_links(n, p, rng)[pair_index(n, a, b)]
     else:
         rho = match_rho(p, allow_large_rho=(channel == "disk_forced")).rho
         up = toroidal_distance_matrix(rng.random((n, 2)))[a, b] < rho
@@ -123,7 +128,10 @@ def components(n: int, a: np.ndarray, b: np.ndarray, return_labels: bool = False
 
 def degrees(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Degree of each node 0..n-1 of the graph with edges (a, b)."""
-    return np.bincount(np.concatenate((a, b)), minlength=n)
+    deg = np.bincount(np.concatenate((a, b)), minlength=n)
+    if deg.size > n:
+        raise ValueError(f"node ids must be < n={n}")
+    return deg
 
 
 def run_trial(n: int, K: int, p: float, channel: str, trial_seed) -> TrialOutcome:

@@ -22,11 +22,14 @@ def dist(*points):
     return toroidal_distance_matrix(np.array(points, dtype=float))
 
 
-def edge_rate(p, channel, trials, seed):
-    """Fraction of n=2, K=1 trials with the one (always keyed) pair up."""
-    hits = sum(mc.run_trial(2, 1, p, channel, (seed, t)).edge_count
-               for t in range(trials))
-    return hits / trials
+def assert_edge_rate(q, channel, seed):
+    """One trial with every pair keyed reads C(448, 2) = 100,128 pair links.
+    On/off links are independent and disk links on the torus pairwise
+    independent, so the up fraction has variance q(1-q)/C(n,2)."""
+    n = 448
+    pairs = n * (n - 1) // 2
+    rate = mc.run_trial(n, n - 1, q, channel, seed).edge_count / pairs
+    assert abs(rate - q) <= 3 * math.sqrt(q * (1 - q) / pairs)
 
 
 class TestParams:
@@ -48,9 +51,7 @@ class TestSampleEr:
         assert mc.run_trial(10, 9, 1.0, "on_off", 0).edge_count == 45
 
     def test_edge_rate(self):
-        trials = 20_000
-        rate = edge_rate(0.5, "on_off", trials, 5)
-        assert abs(rate - 0.5) <= 3 * math.sqrt(0.25 / trials)
+        assert_edge_rate(0.5, "on_off", 5)
 
     def test_typically_connected_at_n50_p02(self):
         # with every pair keyed the intersection is the channel graph itself
@@ -163,10 +164,7 @@ class TestDiskGraph:
         assert not linked(0.28)
 
     def test_edge_rate_pi_rho_squared(self):
-        trials = 20_000
-        q = 0.3
-        rate = edge_rate(q, "disk", trials, 6)
-        assert abs(rate - q) <= 3 * math.sqrt(q * (1 - q) / trials)
+        assert_edge_rate(math.pi * 0.3 * 0.3, "disk", 6)
 
     def test_monotone_in_rho(self):
         # same seed, same positions: a longer range keeps every link

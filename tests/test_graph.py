@@ -1,188 +1,260 @@
+"""The trial kernel's graph layer on sorted edge arrays (a, b), a < b:
+building the key-sharing graph, degrees, isolated nodes, components and
+connectivity, and the intersection of the key-sharing graph with the
+channel."""
+
+from unittest import mock
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pairkey.graph import (
-    ComponentLabeling,
-    Graph,
-    connected_components,
-    degree,
-    intersect,
-    is_connected,
-    is_connected_bfs,
-    isolated_count,
-)
+from pairkey import montecarlo as mc
+from pairkey.cli import _write_edges
+from pairkey.channels import match_rho
+from pairkey.montecarlo import components, degrees, keyed_pairs
+from pairkey.scheme import partners_from_uniforms, sample_gamma_matrix
+
+from oracles import ScriptedRng, component_labels, toroidal_distance
+
+
+def arrays(edges):
+    """Sorted edge arrays of 0-based pairs (i, j), i < j."""
+    edges = sorted(edges)
+    return (np.array([i for i, _ in edges], dtype=np.int64),
+            np.array([j for _, j in edges], dtype=np.int64))
+
+
+def all_pairs(n):
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
 def complete(n):
-    return Graph(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
+    return arrays(all_pairs(n))
 
 
 def path(n):
-    return Graph(n, [(i, i + 1) for i in range(1, n)])
+    return arrays([(i, i + 1) for i in range(n - 1)])
+
+
+def trial_on(n, edges):
+    """run_trial on a prescribed graph on n >= 2 nodes. With K = n-1 every
+    pair is keyed, so the on/off draws alone choose the edges: 0 is up and
+    1 is down at p = 0.5."""
+    u = np.ones(n * (n - 1) // 2)
+    if edges:
+        u[mc.pair_index(n, *arrays(edges))] = 0.0
+    rng = ScriptedRng(np.zeros((n, n - 1)), u)
+    with mock.patch.object(mc, "rng_from_entropy", lambda entropy: rng):
+        return mc.run_trial(n, n - 1, 0.5, "on_off", 0)
+
+
+def intersection(partner_u, channel_u, K, p=0.5, channel="on_off"):
+    """Edge pairs of the kernel's intersection graph on scripted draws."""
+    n = len(partner_u)
+    a, b = mc._intersection_edges(n, K, p, channel,
+                                  ScriptedRng(partner_u, channel_u))
+    assert np.all(a < b)
+    assert np.all(np.diff(a * n + b) > 0)
+    return set(zip(a.tolist(), b.tolist()))
 
 
 @st.composite
-def small_graphs(draw):
-    n = draw(st.integers(min_value=1, max_value=8))
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    edges = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs)) if pairs
-                 else st.just([]))
-    return Graph(n, edges)
+def small_graphs(draw, min_n=1):
+    n = draw(st.integers(min_value=min_n, max_value=8))
+    pairs = all_pairs(n)
+    edges = sorted(set(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))
+                            if pairs else st.just([]))))
+    return n, edges
 
 
 class TestGraphConstruction:
-    def test_rejects_self_loop(self):
-        with pytest.raises(ValueError):
-            Graph(3, [(2, 2)])
+    @given(st.integers(min_value=2, max_value=8),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=100)
+    def test_rejects_self_loop(self, n, seed):
+        # no node ever picks itself, so no key-sharing edge is a loop
+        r = np.random.default_rng(seed)
+        for K in range(1, n):
+            gamma = sample_gamma_matrix(n, K, r)
+            assert not np.any(gamma == np.arange(n)[:, None])
+            a, b = keyed_pairs(gamma)
+            assert np.all(a < b)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            Graph(3, [(1, 4)])
+            components(3, np.array([0]), np.array([3]))
         with pytest.raises(ValueError):
-            Graph(3, [(0, 2)])
+            components(3, np.array([-1]), np.array([1]))
 
     def test_edge_is_unordered_and_deduplicated(self):
-        g = Graph(3, [(2, 1), (1, 2)])
-        assert g.edge_count == 1
-        assert g.has_edge(1, 2) and g.has_edge(2, 1)
+        # 0 and 1 pick each other: two picks, one edge
+        a, b = keyed_pairs(np.array([[1], [0]]))
+        assert list(zip(a.tolist(), b.tolist())) == [(0, 1)]
+        a, b = keyed_pairs(np.array([[2], [0], [0]]))
+        assert list(zip(a.tolist(), b.tolist())) == [(0, 1), (0, 2)]
 
     def test_adjacency_agrees_with_edge_set(self):
-        g = Graph(5, [(1, 2), (2, 3), (4, 5)])
-        total = sum(len(g.neighbors(i)) for i in range(1, 6))
-        assert total == 2 * g.edge_count
+        a, b = keyed_pairs(sample_gamma_matrix(25, 3, np.random.default_rng(4)))
+        deg = degrees(25, a, b)
+        assert deg.sum() == 2 * a.size
+        edges = set(zip(a.tolist(), b.tolist()))
+        for i in range(25):
+            assert deg[i] == sum(i in e for e in edges)
 
 
 class TestDegree:
     def test_complete_graph(self):
-        assert degree(complete(4), 1) == 3
+        assert degrees(4, *complete(4))[0] == 3
+        a, b = keyed_pairs(sample_gamma_matrix(4, 3, np.random.default_rng()))
+        assert degrees(4, a, b).tolist() == [3, 3, 3, 3]
 
     def test_empty_graph(self):
-        assert degree(Graph(4), 2) == 0
+        assert degrees(4, *arrays([]))[1] == 0
+        assert degrees(4, *arrays([])).tolist() == [0, 0, 0, 0]
 
     def test_path_midpoint(self):
-        assert degree(path(3), 2) == 2
+        assert degrees(3, *path(3))[1] == 2
 
     def test_out_of_range_raises(self):
-        with pytest.raises(ValueError):
-            degree(Graph(4), 5)
+        assert degrees(4, *path(4)).shape == (4,)
+        for edge in ((0, 4), (-1, 0)):
+            with pytest.raises(ValueError):
+                degrees(4, *arrays([edge]))
 
 
 class TestIsolatedCount:
     def test_empty_graph(self):
-        assert isolated_count(Graph(5)) == 5
+        assert trial_on(5, []).isolated_count == 5
 
     def test_complete_graph(self):
-        assert isolated_count(complete(5)) == 0
+        out = trial_on(5, all_pairs(5))
+        assert out.isolated_count == 0 and out.edge_count == 10
 
     def test_partial(self):
-        assert isolated_count(Graph(4, [(1, 2)])) == 2
+        assert trial_on(4, [(0, 1)]).isolated_count == 2
 
 
 class TestConnectivity:
     def test_single_node(self):
-        assert is_connected(Graph(1)) is True
+        assert components(1, *arrays([])) == 1
 
     def test_path_connected(self):
-        assert is_connected(path(4)) is True
+        assert trial_on(4, [(0, 1), (1, 2), (2, 3)]).connected is True
 
     def test_two_components(self):
-        assert is_connected(Graph(4, [(1, 2), (3, 4)])) is False
+        assert trial_on(4, [(0, 1), (2, 3)]).connected is False
 
     @given(small_graphs())
     @settings(max_examples=200)
-    def test_dsu_agrees_with_bfs(self, g):
-        assert is_connected(g) == is_connected_bfs(g)
+    def test_dsu_agrees_with_bfs(self, graph):
+        # labels in smallest-member order, as dump-instance writes them
+        n, edges = graph
+        count, labels = components(n, *arrays(edges), return_labels=True)
+        expected = component_labels(n, edges)
+        assert labels.tolist() == expected
+        assert count == max(expected) + 1 == components(n, *arrays(edges))
 
-    @given(small_graphs())
+    @given(small_graphs(min_n=2))
     @settings(max_examples=200)
-    def test_connected_iff_one_component(self, g):
-        assert is_connected(g) == (connected_components(g).component_count == 1)
+    def test_connected_iff_one_component(self, graph):
+        # run_trial skips the component search when a node is isolated
+        n, edges = graph
+        out = trial_on(n, edges)
+        assert out.connected == (max(component_labels(n, edges)) == 0)
+        assert out.edge_count == len(edges)
 
-    @given(small_graphs())
+    @given(small_graphs(min_n=2))
     @settings(max_examples=200)
-    def test_connected_implies_no_isolated(self, g):
-        if g.node_count >= 2 and is_connected(g):
-            assert isolated_count(g) == 0
+    def test_connected_implies_no_isolated(self, graph):
+        n, edges = graph
+        out = trial_on(n, edges)
+        if out.connected:
+            assert out.isolated_count == 0
 
 
 class TestComponents:
     def test_empty(self):
-        assert connected_components(Graph(3)).component_count == 3
+        assert components(3, *arrays([])) == 3
 
     def test_complete(self):
-        lab = connected_components(complete(3))
-        assert lab == ComponentLabeling(labels=(0, 0, 0), component_count=1)
+        count, labels = components(3, *complete(3), return_labels=True)
+        assert count == 1 and labels.tolist() == [0, 0, 0]
 
     def test_two_groups(self):
-        lab = connected_components(Graph(5, [(1, 2), (2, 3), (4, 5)]))
-        assert lab.component_count == 2
+        assert components(5, *arrays([(0, 1), (1, 2), (3, 4)])) == 2
 
     @given(small_graphs())
     @settings(max_examples=100)
-    def test_labels_constant_on_edges(self, g):
-        lab = connected_components(g)
-        for i, j in g.edges():
-            assert lab.labels[i - 1] == lab.labels[j - 1]
-        assert len(set(lab.labels)) == lab.component_count
+    def test_labels_constant_on_edges(self, graph):
+        n, edges = graph
+        count, labels = components(n, *arrays(edges), return_labels=True)
+        for i, j in edges:
+            assert labels[i] == labels[j]
+        assert len(set(labels.tolist())) == count
+
+
+# n=3, K=1: node 0 picks 1, node 1 picks 2, node 2 picks 1
+HAND_PARTNER_U = [[0.1, 0.9], [0.9, 0.1], [0.9, 0.1]]
+HAND_KEYED = {(0, 1), (1, 2)}
 
 
 class TestIntersect:
     def test_idempotent(self):
-        g = Graph(4, [(1, 2), (3, 4)])
-        assert intersect(g, g) == g
+        # a channel with every pair up leaves the key-sharing graph as it is
+        assert intersection(HAND_PARTNER_U, np.zeros(3), 1) == HAND_KEYED
 
     def test_with_empty(self):
-        g = Graph(4, [(1, 2), (3, 4)])
-        assert intersect(g, Graph(4)) == Graph(4)
+        assert intersection(HAND_PARTNER_U, np.ones(3), 1) == set()
 
     def test_literal_example(self):
-        g1 = Graph(3, [(1, 2), (2, 3)])
-        g2 = Graph(3, [(2, 3), (1, 3)])
-        assert intersect(g1, g2) == Graph(3, [(2, 3)])
+        # channel draws for (0, 1), (0, 2), (1, 2): up at (0, 2) and (1, 2)
+        assert intersection(HAND_PARTNER_U, [0.9, 0.1, 0.1], 1) == {(1, 2)}
 
-    def test_mismatched_node_counts(self):
-        with pytest.raises(ValueError):
-            intersect(Graph(3), Graph(4))
-
-    @given(small_graphs(), small_graphs())
+    @given(st.data(), st.integers(min_value=2, max_value=8),
+           st.sampled_from(["on_off", "disk"]),
+           st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=100)
-    def test_commutative_and_bounded(self, g1, g2):
-        n = max(g1.node_count, g2.node_count)
-        g1 = Graph(n, g1.edges())
-        g2 = Graph(n, g2.edges())
-        gi = intersect(g1, g2)
-        assert gi == intersect(g2, g1)
-        assert gi.edge_count <= min(g1.edge_count, g2.edge_count)
-
-    def test_associative(self):
-        a = Graph(4, [(1, 2), (2, 3), (3, 4)])
-        b = Graph(4, [(2, 3), (3, 4), (1, 4)])
-        c = Graph(4, [(3, 4), (1, 2)])
-        assert intersect(intersect(a, b), c) == intersect(a, intersect(b, c))
+    def test_commutative_and_bounded(self, data, n, channel, seed):
+        K = data.draw(st.integers(min_value=1, max_value=n - 1))
+        r = np.random.default_rng(seed)
+        partner_u = r.random((n, n - 1))
+        pairs = all_pairs(n)
+        if channel == "on_off":
+            channel_u = r.random(len(pairs))
+            up = {pr for pr, x in zip(pairs, channel_u) if x < 0.3}
+        else:
+            channel_u = r.random((n, 2))
+            rho = match_rho(0.3).rho
+            up = {(i, j) for i, j in pairs
+                  if toroidal_distance(channel_u[i], channel_u[j]) < rho}
+        keyed = set(zip(*(x.tolist() for x in
+                          keyed_pairs(partners_from_uniforms(partner_u, K)))))
+        got = intersection(partner_u, channel_u, K, 0.3, channel)
+        assert got == keyed & up == up & keyed
+        assert len(got) <= min(len(keyed), len(up))
 
 
 class TestMonotonicity:
-    @given(small_graphs())
+    @given(small_graphs(min_n=2))
     @settings(max_examples=100)
-    def test_adding_edge_never_hurts(self, g):
-        n = g.node_count
-        if n < 2:
-            return
-        missing = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
-                   if not g.has_edge(i, j)]
+    def test_adding_edge_never_hurts(self, graph):
+        n, edges = graph
+        missing = [pr for pr in all_pairs(n) if pr not in edges]
         if not missing:
             return
-        g2 = Graph(n, list(g.edges()) + [missing[0]])
-        assert isolated_count(g2) <= isolated_count(g)
-        if is_connected(g):
-            assert is_connected(g2)
+        before = trial_on(n, edges)
+        after = trial_on(n, edges + [missing[0]])
+        assert after.isolated_count <= before.isolated_count
+        if before.connected:
+            assert after.connected
 
 
 def test_edge_list_round_trip(tmp_path):
-    from pairkey.graph import read_edge_list, write_edge_list
-
-    g = Graph(5, [(3, 1), (2, 5), (1, 2)])
+    # 0 and 2 pick each other, 1 picks 4, 3 picks 1, 4 picks 1
+    a, b = keyed_pairs(np.array([[2], [4], [0], [1], [1]]))
     p = tmp_path / "g.edges"
-    write_edge_list(g, p)
-    assert p.read_text() == "1 2\n1 3\n2 5\n"
-    assert read_edge_list(p, 5) == g
+    _write_edges(p, a, b)
+    assert p.read_text() == "1 3\n2 4\n2 5\n"
+    back = np.loadtxt(p, dtype=np.int64, ndmin=2) - 1
+    assert np.array_equal(back[:, 0], a) and np.array_equal(back[:, 1], b)
