@@ -68,7 +68,11 @@ def _workers(flag) -> int:
     if flag is not None:
         workers, source = flag, "--workers"
     elif os.environ.get("PAIRKEY_WORKERS"):
-        workers, source = int(os.environ["PAIRKEY_WORKERS"]), "PAIRKEY_WORKERS"
+        text, source = os.environ["PAIRKEY_WORKERS"], "PAIRKEY_WORKERS"
+        try:
+            workers = int(text)
+        except ValueError:
+            raise _UsageError(f"{source} must be an integer, got {text!r}") from None
     else:
         return os.cpu_count() or 1
     if workers < 1:
@@ -138,6 +142,8 @@ def dump_instance(n: int, K: int, p: float, seed: int, outdir: str) -> None:
     their intersection, plus the intersection's component labels and the
     pairing (partners ascending). The draws are the on/off trial's: pairing,
     then one uniform per pair."""
+    if not 1 <= K < n:
+        raise ValueError(f"require 1 <= K < n, got K={K}, n={n}")
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must be in (0, 1], got {p}")
     out = Path(outdir)
@@ -145,7 +151,7 @@ def dump_instance(n: int, K: int, p: float, seed: int, outdir: str) -> None:
     rng = mc.rng_from_entropy((seed, 201, n, K))
     gamma = mc.sample_gamma_matrix(n, K, rng)
     a, b = mc.keyed_pairs(gamma)
-    up = mc.onoff_links(n, p, rng)
+    up = mc.onoff_links(n, p, np.arange(n * (n - 1) // 2), rng)
     both = up[mc.pair_index(n, a, b)]
     iu, ju = np.triu_indices(n, k=1)
     _write_edges(out / "channel.edges", iu[up], ju[up])

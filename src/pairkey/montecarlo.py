@@ -2,10 +2,13 @@
 errors, crossover extraction, and the bound-validation suite.
 
 A trial's graph is held as sorted edge arrays (a, b), a < b: the keyed pairs
-of the pairing, filtered by the channel. A trial builds no n x n adjacency;
-its O(n^2) arrays are the random draws themselves and, for the disk channel,
-the all-pairs distance matrix. (validate_bounds, for small n only, batches
-dense matrices over many samples instead.)
+of the pairing, filtered by the channel. A trial builds no n x n adjacency.
+It still draws all n(n-1) pairing uniforms and, on on/off, all C(n,2) link
+uniforms, but a block at a time, keeping only what each block decides: the
+chosen partners and the links of keyed pairs. So an on/off trial takes
+O(nK + block) memory; the disk channel still builds the all-pairs distance
+matrix. (validate_bounds, for small n only, batches dense matrices over many
+samples instead.)
 
 Every trial is seeded by a counter-based derivation from
 (master seed, channel tag, n, K-index, p-index, trial index), so results are
@@ -25,7 +28,7 @@ from scipy.sparse.csgraph import connected_components as _sparse_components
 
 from . import theory
 from .channels import match_rho, toroidal_distance_matrix
-from .scheme import partners_from_uniforms, sample_gamma_matrix
+from .scheme import _BLOCK, draw_partners, sample_gamma_matrix
 
 CHANNELS = ("on_off", "disk", "disk_forced")
 _CHANNEL_TAGS = {"on_off": 1, "disk": 2, "disk_forced": 3}
@@ -97,10 +100,19 @@ def pair_index(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a * (2 * n - a - 1) // 2 + b - a - 1
 
 
-def onoff_links(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
-    """The on/off channel: one uniform per pair in pair_index order, drawn
-    after the pairing; True where the pair's link is up."""
-    return rng.random(n * (n - 1) // 2) < p
+def onoff_links(n: int, p: float, idx: np.ndarray,
+                rng: np.random.Generator) -> np.ndarray:
+    """The on/off channel at the pairs with ascending pair_index values idx:
+    True where the link is up. The channel draws one uniform per pair, in
+    pair_index order, after the pairing; they are drawn a block at a time and
+    each block is read only at the indices that fall in it."""
+    m = n * (n - 1) // 2
+    up = np.empty(idx.size, dtype=bool)
+    for start in range(0, m, _BLOCK):
+        u = rng.random(min(_BLOCK, m - start))
+        lo, hi = np.searchsorted(idx, (start, start + u.size))
+        up[lo:hi] = u[idx[lo:hi] - start] < p
+    return up
 
 
 def _intersection_edges(n: int, K: int, p: float, channel: str,
@@ -112,7 +124,7 @@ def _intersection_edges(n: int, K: int, p: float, channel: str,
     """
     a, b = keyed_pairs(sample_gamma_matrix(n, K, rng))
     if channel == "on_off":
-        up = onoff_links(n, p, rng)[pair_index(n, a, b)]
+        up = onoff_links(n, p, pair_index(n, a, b), rng)
     else:
         rho = match_rho(p, allow_large_rho=(channel == "disk_forced")).rho
         up = toroidal_distance_matrix(rng.random((n, 2)))[a, b] < rho
@@ -425,7 +437,7 @@ def validate_bounds(n: int, K: int, p: float, samples: int,
 
     while done < samples:
         t = min(chunk, samples - done)
-        gamma0 = partners_from_uniforms(rng.random((t, n, n - 1)), K)
+        gamma0 = draw_partners((t, n), K, rng)
         rows = np.arange(n)[None, :, None]
         picked = np.zeros((t, n, n), dtype=bool)
         ti = np.arange(t)[:, None, None]

@@ -2,38 +2,87 @@
 
 Each of the n nodes independently picks a uniform set of K partners among the
 other n-1 nodes. Two nodes share a key iff at least one picked the other.
+
+Node i ranks its n-1 candidates by i.i.d. uniforms and keeps the K smallest.
+The uniforms are drawn a block of rows at a time and only each row's chosen
+candidates are kept, so a pairing of n nodes takes O(nK + block) memory,
+while the random stream is exactly that of one (n, n-1) draw.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+_BLOCK = 1 << 18  # uniforms drawn at a time
+_GRID = 2.0 ** 53  # Generator.random returns integers times 2**-53
 
-def partners_from_uniforms(u: np.ndarray, K: int) -> np.ndarray:
-    """Map uniforms of shape (..., n, n-1) to partner ids of shape (..., n, K).
 
-    Along the last axis, the candidates of node i are ranked by their
-    uniforms and the K smallest ranks are kept. Candidate c of node i maps to
-    node c if c < i else c + 1, so no node picks itself.
+def _smallest(u: np.ndarray, K: int, cut: float, bits: int) -> np.ndarray:
+    """Candidate ids of the K smallest uniforms in each row of u, as an
+    (rows, K) array, in no set order.
+
+    Only entries below `cut` are looked at. Each is keyed as
+    row << bits | floor(u * 2**53), so one sort ranks every row at once, and
+    a row keeps its entries up to its K-th key. The key is exact for the
+    values Generator.random returns; for any other value, rounding down keeps
+    the order but may merge values, which shows up as a tie. A block falls
+    back to an exact argpartition when the cut covers whole rows, a row has
+    fewer than K entries below the cut, or a tie at the K-th key keeps more
+    than K entries.
     """
-    n = u.shape[-2]
-    if K == n - 1:
-        # every candidate is chosen; the draw keeps the rng stream aligned
-        cand = np.broadcast_to(np.arange(n - 1), u.shape)
-    else:
-        cand = np.argpartition(u, K, axis=-1)[..., :K]
-    return cand + (cand >= np.arange(n)[:, None])
+    rows, m = u.shape
+    if K == m:
+        return np.broadcast_to(np.arange(m), u.shape)
+    if cut < 1.0:
+        flat = np.flatnonzero(u < cut)
+        row = flat // m
+        counts = np.bincount(row, minlength=rows)
+        if counts.min() >= K:
+            key = (u.ravel()[flat] * _GRID).astype(np.int64) | row << bits
+            kth = np.sort(key)[np.cumsum(counts) - counts + K - 1]
+            keep = key <= kth[row]
+            if np.count_nonzero(keep) == rows * K:
+                return (flat[keep] - row[keep] * m).reshape(rows, K)
+    return np.argpartition(u, K, axis=-1)[:, :K]
+
+
+def draw_partners(shape: tuple[int, ...], K: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Partner ids of shape (*shape, K) for independent pairings of
+    n = shape[-1] nodes: row (..., i) holds the K partners of node i.
+
+    Draws the same uniforms, in the same order, as rng.random((*shape, n-1)),
+    one block of rows at a time, and keeps only each row's chosen candidates.
+    Candidate c of node i maps to node c if c < i else c + 1, so no node
+    picks itself. A row's partners come in no set order.
+    """
+    n = shape[-1]
+    total = math.prod(shape)
+    # a row expects K + 4 sqrt(K) + 4 uniforms below the cut, so about one
+    # row in 10^4 falls short of K and sends its block to the fallback
+    cut = (K + 4.0 * math.sqrt(K) + 4.0) / (n - 1)
+    bits = int(cut * _GRID).bit_length() if cut < 1.0 else 0
+    # a key's row field has 63 - bits bits, so a block's rows must fit in it
+    step = max(1, min(_BLOCK // (n - 1), 1 << (63 - bits)))
+    out = np.empty((total, K), dtype=np.int64)
+    for start in range(0, total, step):
+        stop = min(start + step, total)
+        out[start:stop] = _smallest(rng.random((stop - start, n - 1)), K, cut, bits)
+    out = out.reshape(*shape, K)
+    return out + (out >= np.arange(n)[:, None])
 
 
 def sample_gamma_matrix(n: int, K: int, rng: np.random.Generator) -> np.ndarray:
     """Sample the partner sets for all nodes at once.
 
     Returns an (n, K) int array of 0-based partner ids; row i holds the K
-    partners of node i+1 (unsorted). Each row is an exact-uniform K-subset of
-    the other n-1 nodes: the candidates are ranked by i.i.d. uniforms and the
-    K smallest ranks are kept, so every K-subset is equally likely. Rows are
-    independent.
+    partners of node i+1 (in no set order). Each row is an exact-uniform
+    K-subset of the other n-1 nodes: the candidates are ranked by i.i.d.
+    uniforms and the K smallest ranks are kept, so every K-subset is equally
+    likely. Rows are independent.
     """
     if not 1 <= K < n:
         raise ValueError(f"K must satisfy 1 <= K < n, got K={K}, n={n}")
-    return partners_from_uniforms(rng.random((n, n - 1)), K)
+    return draw_partners((n,), K, rng)

@@ -1,8 +1,10 @@
 """Brute-force oracles, independent of the library's formulas: exhaustive
 enumeration over pairings (and channel states where feasible), the key rings
 of a pairing, and a pure-Python sampler of one trial's graph that draws the
-same random numbers in the same order as the array kernel. Also two stand-in
-generators that script or record the kernel's draws."""
+same random numbers in the same order as the array kernel, and the array
+kernel's whole-array form, which draws each trial's pairing and on/off links
+in one piece. Also two stand-in generators that script or record the
+kernel's draws."""
 
 import math
 from collections import deque
@@ -10,6 +12,9 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
+
+from pairkey.channels import match_rho, toroidal_distance_matrix
+from pairkey.montecarlo import keyed_pairs, pair_index
 
 
 def all_pairings(n, K):
@@ -153,17 +158,48 @@ def trial(n, K, p, channel, rng):
     return max(component_labels(n, edges)) == 0, n - len(touched), len(edges)
 
 
+def partners_from_uniforms(u, K):
+    """Partner ids of shape (..., n, K) from uniforms of shape (..., n, n-1)
+    by one argpartition of the whole array: node i keeps the candidates of
+    its K smallest uniforms, candidate c being node c if c < i else c + 1."""
+    n = u.shape[-2]
+    if K == n - 1:
+        cand = np.broadcast_to(np.arange(n - 1), u.shape)
+    else:
+        cand = np.argpartition(u, K, axis=-1)[..., :K]
+    return cand + (cand >= np.arange(n)[:, None])
+
+
+def intersection_edges(n, K, p, channel, rng):
+    """The kernel's intersection graph as sorted edge arrays (a, b), drawn
+    whole: one (n, n-1) array of pairing uniforms, then all C(n,2) on/off
+    uniforms at once (or n positions for disk)."""
+    a, b = keyed_pairs(partners_from_uniforms(rng.random((n, n - 1)), K))
+    if channel == "on_off":
+        up = (rng.random(n * (n - 1) // 2) < p)[pair_index(n, a, b)]
+    else:
+        rho = match_rho(p, allow_large_rho=(channel == "disk_forced")).rho
+        up = toroidal_distance_matrix(rng.random((n, 2)))[a, b] < rho
+    return a[up], b[up]
+
+
 class ScriptedRng:
-    """Stands in for a numpy Generator: each random(shape) call returns the
-    next scripted array, which must have the requested shape."""
+    """Stands in for a numpy Generator: the draws given are joined into one
+    flat script, and each random(shape) call returns its next values in the
+    requested shape. So a script serves any split of the same draws into
+    requests, whatever block size the kernel uses."""
 
     def __init__(self, *draws):
-        self.draws = [np.asarray(d, dtype=float) for d in draws]
+        self.script = np.concatenate([np.ravel(np.asarray(d, dtype=float))
+                                      for d in draws])
+        self.used = 0
 
     def random(self, shape):
-        out = self.draws.pop(0)
-        assert out.shape == np.empty(shape).shape
-        return out
+        size = int(np.prod(shape))
+        out = self.script[self.used:self.used + size]
+        assert out.size == size, "script exhausted"
+        self.used += size
+        return out.reshape(shape)
 
 
 class RecordingRng:

@@ -31,12 +31,12 @@ def report(num, ok, detail):
 
 @pytest.fixture(scope="module")
 def onoff_table():
-    return mc.sweep(cli.figure_preset("fig2", seed=SEED), workers=8)
+    return mc.sweep(cli.figure_preset("fig2", seed=SEED), workers=2)
 
 
 @pytest.fixture(scope="module")
 def disk_table():
-    return mc.sweep(cli.figure_preset("fig4", seed=SEED), workers=8)
+    return mc.sweep(cli.figure_preset("fig4", seed=SEED), workers=2)
 
 
 def test_criterion_1_phase_transition(onoff_table):
@@ -148,7 +148,7 @@ def test_criterion_8_constant_parameter_divergence():
     increasing = all(a < b for a, b in zip(expected, expected[1:]))
     cfg = mc.ExperimentConfig(n=800, K_grid=(2,), p_grid=(0.5,),
                               trials=500, seed=SEED)
-    q = mc.sweep(cfg, workers=8).rows[0].prob_no_isolated
+    q = mc.sweep(cfg, workers=2).rows[0].prob_no_isolated
     ok = increasing and q < 0.1
     report(8, ok, "expected isolated count "
            + " < ".join(f"{e:.2f}" for e in expected)
@@ -161,4 +161,4 @@ def test_criterion_9_determinism(onoff_table, tmp_path):
                    "--out", str(out)])
     same = out.read_bytes() == onoff_table.to_csv_text().encode()
     report(9, rc == 0 and same,
-           "standard-grid CSV byte-identical across workers=1 and workers=8")
+           "standard-grid CSV byte-identical across workers=1 and workers=2")

@@ -161,6 +161,16 @@ class TestSimulateCommand:
         assert rc == 1
         assert "PAIRKEY_WORKERS" in capsys.readouterr().err
 
+    def test_env_workers_not_integer_rejected(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("PAIRKEY_WORKERS", "abc")
+        out = tmp_path / "f.csv"
+        rc = run(["figure", "fig2", "--seed", "1", "--trials", "1",
+                  "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "PAIRKEY_WORKERS" in err and "'abc'" in err
+        assert not out.exists()
+
     def test_disk_forced_via_flag(self, tmp_path):
         out = tmp_path / "d.csv"
         rc = run(["simulate", "--n", "10", "--K", "2", "--p", "0.9",
@@ -252,6 +262,14 @@ class TestDumpInstance:
     def test_bad_p_exit_one(self, tmp_path):
         assert run(["dump-instance", "--n", "5", "--K", "2", "--p", "0",
                     "--seed", "1", "--outdir", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("n,K,p", [(5, 5, 0.5), (5, 0, 0.5), (1, 1, 0.5),
+                                       (5, 2, 1.5)])
+    def test_bad_input_creates_nothing(self, tmp_path, n, K, p):
+        outdir = tmp_path / "inst"
+        assert run(["dump-instance", "--n", str(n), "--K", str(K),
+                    "--p", str(p), "--seed", "1", "--outdir", str(outdir)]) == 1
+        assert not outdir.exists()
 
     def test_deterministic(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"

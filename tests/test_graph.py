@@ -13,9 +13,10 @@ from pairkey import montecarlo as mc
 from pairkey.cli import _write_edges
 from pairkey.channels import match_rho
 from pairkey.montecarlo import components, degrees, keyed_pairs
-from pairkey.scheme import partners_from_uniforms, sample_gamma_matrix
+from pairkey.scheme import sample_gamma_matrix
 
-from oracles import ScriptedRng, component_labels, toroidal_distance
+from oracles import (ScriptedRng, component_labels, intersection_edges,
+                     partners_from_uniforms, toroidal_distance)
 
 
 def arrays(edges):
@@ -233,6 +234,22 @@ class TestIntersect:
         got = intersection(partner_u, channel_u, K, 0.3, channel)
         assert got == keyed & up == up & keyed
         assert len(got) <= min(len(keyed), len(up))
+
+
+    @pytest.mark.parametrize("n", [600, 1000, 4000])
+    @pytest.mark.parametrize("k_of_n", [lambda n: 1, lambda n: n // 2,
+                                        lambda n: n - 1], ids=["1", "mid", "n-1"])
+    def test_blocked_draws_match_whole_array(self, n, k_of_n):
+        # the kernel draws the pairing and the on/off links in blocks; the
+        # reference draws each in one piece from the same stream
+        K = k_of_n(n)
+        for channel, seed in (("on_off", 1), ("disk_forced", 2)):
+            got = mc._intersection_edges(n, K, 0.3, channel,
+                                         np.random.default_rng(seed + n + K))
+            want = intersection_edges(n, K, 0.3, channel,
+                                      np.random.default_rng(seed + n + K))
+            for x, y in zip(got, want):
+                assert np.array_equal(x, y)
 
 
 class TestMonotonicity:

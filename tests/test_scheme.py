@@ -1,5 +1,8 @@
+import hashlib
+import json
 import math
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,9 +10,9 @@ import pytest
 from pairkey import montecarlo as mc
 from pairkey.cli import dump_instance
 from pairkey.montecarlo import degrees, estimate_edge_prob, keyed_pairs
-from pairkey.scheme import partners_from_uniforms, sample_gamma_matrix
+from pairkey.scheme import draw_partners, sample_gamma_matrix
 
-from oracles import key_rings, partner_sets
+from oracles import ScriptedRng, key_rings, partner_sets, partners_from_uniforms
 
 
 def rng(seed=12345):
@@ -103,12 +106,76 @@ class TestSamplePairing:
         assert [set(row.tolist()) for row in gamma] == partner_sets(u, K)
 
     def test_batched_rows_match_single_draws(self):
-        # the validation suite maps a (t, n, n-1) batch in one call
-        u = rng(4).random((3, 6, 5))
-        for K in (2, 5):
-            batch = partners_from_uniforms(u, K)
+        # the validation suite draws a (t, n) batch of pairings in one call
+        for n, K in ((6, 2), (6, 5), (30, 2)):
+            batch = draw_partners((3, n), K, rng(4))
+            r = rng(4)
             for t in range(3):
-                assert np.array_equal(batch[t], partners_from_uniforms(u[t], K))
+                assert partner_list(batch[t]) == \
+                    partner_list(sample_gamma_matrix(n, K, r))
+
+
+def scripted_pairing(u, K):
+    """Partner sets the sampler picks from the uniforms u, next to those of
+    one argpartition of the whole array."""
+    got = partner_list(sample_gamma_matrix(len(u), K, ScriptedRng(u)))
+    return got, partner_list(partners_from_uniforms(u, K))
+
+
+class TestThresholdSelection:
+    """The sampler ranks only uniforms below a cut, by integer keys on the
+    2**-53 grid of Generator.random; each case here must fall back to an exact
+    ranking and still pick what one whole-array argpartition picks."""
+
+    def test_row_short_of_candidates(self):
+        u = rng(1).random((20, 19))
+        u[4] = 0.99 + 0.01 * u[4]  # no uniform of node 4 is small
+        u[9, :-1] = 0.999  # node 9 has a single small uniform
+        u[19, 1:] = 0.999  # so does the last node
+        for K in (1, 2, 5):
+            got, want = scripted_pairing(u, K)
+            assert got == want
+
+    def test_tie_at_kth_value(self):
+        u = np.maximum(rng(2).random((20, 19)), 2.0 ** -9)
+        u[3, 1] = 2.0 ** -12
+        u[3, [4, 7]] = 2.0 ** -10  # the 2nd smallest value, twice
+        got, want = scripted_pairing(u, 2)
+        assert got == want
+        # columns 1, 4 and 7 of node 3 are nodes 1, 5 and 8
+        assert 1 in got[3] and len(got[3] & {5, 8}) == 1
+
+    def test_off_grid_values(self):
+        u = rng(3).random((20, 19))
+        u[2, 5] = 0.3
+        u[6] = np.linspace(0.05, 0.95, 19)[::-1]
+        # two values finer than the grid, with one key: the smaller one counts
+        u[8, :] = 0.5
+        u[8, [3, 11]] = np.nextafter(0.1, 1.0), 0.1
+        for K in (1, 3):
+            got, want = scripted_pairing(u, K)
+            assert got == want
+        assert scripted_pairing(u, 1)[0][8] == {12}
+
+    def test_threshold_path_decides_ordinary_blocks(self):
+        # none of these draws needs the exact fallback
+        with mock.patch.object(np, "argpartition", side_effect=AssertionError):
+            sample_gamma_matrix(1000, 10, rng(1))
+            draw_partners((300, 30), 2, rng(1))
+
+    @pytest.mark.parametrize("n,K", [(600, 1), (600, 300), (1000, 30)])
+    def test_many_blocks_match_argpartition(self, n, K):
+        got = partner_list(sample_gamma_matrix(n, K, rng(n + K)))
+        assert got == partner_list(
+            partners_from_uniforms(rng(n + K).random((n, n - 1)), K))
+
+    def test_validate_report_unchanged(self):
+        # at n=30 one call draws 2222 pairings: 66,660 rows in many blocks;
+        # digest of the report of the whole-array sampler
+        report = mc.validate_bounds(30, 2, 0.5, samples=5000, seed=7)
+        text = json.dumps(report.to_dict(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "9f05230db796db0edf45df65ed7b00490594ef6585818aac647e01ee9a65a3bb"
 
 
 class TestKeyRings:
