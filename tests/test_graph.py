@@ -235,7 +235,6 @@ class TestIntersect:
         assert got == keyed & up == up & keyed
         assert len(got) <= min(len(keyed), len(up))
 
-
     @pytest.mark.parametrize("n", [600, 1000, 4000])
     @pytest.mark.parametrize("k_of_n", [lambda n: 1, lambda n: n // 2,
                                         lambda n: n - 1], ids=["1", "mid", "n-1"])

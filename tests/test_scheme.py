@@ -124,8 +124,9 @@ def scripted_pairing(u, K):
 
 class TestThresholdSelection:
     """The sampler ranks only uniforms below a cut, by integer keys on the
-    2**-53 grid of Generator.random; each case here must fall back to an exact
-    ranking and still pick what one whole-array argpartition picks."""
+    2**-53 grid of Generator.random, and falls back to an exact ranking where
+    that cannot decide a block; either way it must pick what one whole-array
+    argpartition picks."""
 
     def test_row_short_of_candidates(self):
         u = rng(1).random((20, 19))
