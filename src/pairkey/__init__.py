@@ -2,7 +2,7 @@
 predistribution scheme under unreliable links."""
 
 from .scheme import sample_gamma_matrix
-from .channels import DiskParams, match_rho, toroidal_distance_matrix
+from .channels import match_rho, toroidal_distance_matrix
 from .theory import TheoryReport, theory_report
 from .montecarlo import (
     EstimateTable,

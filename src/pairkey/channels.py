@@ -6,31 +6,10 @@ the rule matching their edge probabilities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class DiskParams:
-    """Disk model transmission range on the unit torus.
-
-    rho < 0.5 is required for the exact edge-probability identity
-    P(edge) = pi * rho^2; set forced=True to bypass the check (the identity
-    then no longer holds exactly).
-    """
-
-    rho: float
-    forced: bool = False
-
-    def __post_init__(self):
-        if self.rho <= 0.0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
-        if self.rho >= 0.5 and not self.forced:
-            raise ValueError(
-                f"rho must be < 0.5 for the exact edge probability, got {self.rho}; "
-                "use forced=True to override"
-            )
+from .theory import check_channel, check_p
 
 
 def toroidal_distance_matrix(points: np.ndarray) -> np.ndarray:
@@ -41,22 +20,13 @@ def toroidal_distance_matrix(points: np.ndarray) -> np.ndarray:
     return np.sqrt((d * d).sum(axis=2))
 
 
-def match_rho(p: float, allow_large_rho: bool = False) -> DiskParams:
+def match_rho(p: float, channel: str = "disk") -> float:
     """Transmission range with the same edge probability as the on/off model:
     pi * rho^2 = p, i.e. rho = sqrt(p / pi).
 
-    Requires p < pi/4 so that rho < 0.5 and the identity is exact. With
-    allow_large_rho the value is computed anyway and the returned params are
-    flagged as forced.
+    The identity is exact only for rho < 0.5, i.e. p < pi/4; channel "disk"
+    requires that, "disk_forced" returns rho for any p in (0, 1].
     """
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p must be in (0, 1], got {p}")
-    rho = math.sqrt(p / math.pi)
-    if rho >= 0.5:
-        if not allow_large_rho:
-            raise ValueError(
-                f"p={p} gives rho={rho:.5f} >= 0.5 where P(edge) != pi*rho^2; "
-                "pass allow_large_rho=True to force"
-            )
-        return DiskParams(rho=rho, forced=True)
-    return DiskParams(rho=rho)
+    check_p(p)
+    check_channel(channel, p)
+    return math.sqrt(p / math.pi)

@@ -1,7 +1,8 @@
 """Command-line entry point: sweeps, theory reports, bound validation,
 figure presets, and instance dumps.
 
-Exit status: 0 success, 1 usage error, 2 validation-suite failure.
+Exit status: 0 success, 1 usage or I/O error (one "error: ..." line on
+stderr), 2 validation-suite failure.
 """
 
 from __future__ import annotations
@@ -95,20 +96,25 @@ def write_outputs(obj, path: str, fmt: str) -> None:
     so a round trip reproduces the value exactly. Output is bit-stable for
     fixed inputs (fixed column order, LF line endings).
     """
-    try:
-        if fmt == "csv":
-            if not isinstance(obj, mc.EstimateTable):
-                raise ValueError("csv format is only defined for sweep tables")
-            text = obj.to_csv_text()
-        elif fmt == "json":
-            payload = obj.to_json_obj() if isinstance(obj, mc.EstimateTable) else obj
-            text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        else:
-            raise ValueError(f"unknown format {fmt!r}")
-        with open(path, "w", newline="\n") as f:
-            f.write(text)
-    except OSError as e:
-        raise OSError(f"cannot write {path}: {e}") from e
+    if fmt == "csv":
+        if not isinstance(obj, mc.EstimateTable):
+            raise ValueError("csv format is only defined for sweep tables")
+        text = obj.to_csv_text()
+    elif fmt == "json":
+        payload = obj.to_json_obj() if isinstance(obj, mc.EstimateTable) else obj
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
+    with open(path, "w", newline="\n") as f:
+        f.write(text)
+
+
+def _check_out(path: str) -> None:
+    """Fail before any work when the directory of output file `path` is
+    missing or not writable."""
+    folder = Path(path).parent
+    if not (folder.is_dir() and os.access(folder, os.W_OK)):
+        raise _UsageError(f"cannot write {path}: {folder} is not a writable directory")
 
 
 def figure_preset(name: str, seed: int, trials: int = PRESET_TRIALS):
@@ -142,10 +148,8 @@ def dump_instance(n: int, K: int, p: float, seed: int, outdir: str) -> None:
     their intersection, plus the intersection's component labels and the
     pairing (partners ascending). The draws are the on/off trial's: pairing,
     then one uniform per pair."""
-    if not 1 <= K < n:
-        raise ValueError(f"require 1 <= K < n, got K={K}, n={n}")
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p must be in (0, 1], got {p}")
+    theory.check_nk(n, K)
+    theory.check_p(p)
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     rng = mc.rng_from_entropy((seed, 201, n, K))
@@ -178,8 +182,6 @@ def _build_parser() -> _Parser:
     sim.add_argument("--trials", type=int, default=None)
     sim.add_argument("--seed", type=int, default=None)
     sim.add_argument("--channel", choices=mc.CHANNELS, default=None)
-    sim.add_argument("--allow-large-rho", action="store_true",
-                     help="force rho=sqrt(p/pi) even when rho >= 0.5")
     sim.add_argument("--workers", type=int, default=None)
     sim.add_argument("--out", type=str, required=True)
     sim.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -242,16 +244,10 @@ def _simulate_config(args) -> tuple[mc.ExperimentConfig, int]:
     k_grid = parse_k_values(str(values["K"]))
     p_grid = parse_p_values(str(values["p"])) if isinstance(values["p"], str) \
         else tuple(float(x) for x in values["p"])
-    channel = values["channel"]
-    if channel == "disk" and args.allow_large_rho:
-        channel = "disk_forced"
     seed = _effective_seed(int(values["seed"]))
-    try:
-        config = mc.ExperimentConfig(
-            n=int(values["n"]), K_grid=k_grid, p_grid=p_grid,
-            trials=int(values["trials"]), seed=seed, channel=channel)
-    except ValueError as e:
-        raise _UsageError(str(e))
+    config = mc.ExperimentConfig(
+        n=int(values["n"]), K_grid=k_grid, p_grid=p_grid,
+        trials=int(values["trials"]), seed=seed, channel=values["channel"])
     workers = _workers(args.workers)
     return config, workers
 
@@ -263,6 +259,7 @@ def main(argv=None) -> int:
 
         if args.command == "simulate":
             config, workers = _simulate_config(args)
+            _check_out(args.out)
             table = mc.sweep(config, workers=workers)
             write_outputs(table, args.out, args.format)
             return 0
@@ -273,6 +270,8 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "validate":
+            if args.out:
+                _check_out(args.out)
             seed = _effective_seed(args.seed)
             report = mc.validate_bounds(args.n, args.K, args.p,
                                         samples=args.samples, seed=seed)
@@ -295,6 +294,7 @@ def main(argv=None) -> int:
                               seed=seed, outdir=args.out)
                 return 0
             workers = _workers(args.workers)
+            _check_out(args.out)
             table = mc.sweep(preset, workers=workers)
             write_outputs(table, args.out, "csv")
             return 0
@@ -305,10 +305,7 @@ def main(argv=None) -> int:
             return 0
 
         raise _UsageError(f"unknown command {args.command!r}")
-    except _UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except ValueError as e:
+    except (_UsageError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

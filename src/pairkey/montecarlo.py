@@ -29,8 +29,8 @@ from scipy.sparse.csgraph import connected_components as _sparse_components
 from . import theory
 from .channels import match_rho, toroidal_distance_matrix
 from .scheme import _BLOCK, draw_partners, sample_gamma_matrix
+from .theory import CHANNELS, check_channel, check_nk, check_p
 
-CHANNELS = ("on_off", "disk", "disk_forced")
 _CHANNEL_TAGS = {"on_off": 1, "disk": 2, "disk_forced": 3}
 
 
@@ -56,7 +56,8 @@ class TrialOutcome:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One sweep: a (K, p) grid at fixed n, with a trial count and master seed."""
+    """One sweep: a (K, p) grid at fixed n, with a trial count and master seed.
+    Every cell's parameters are checked at construction, before any trial."""
 
     n: int
     K_grid: tuple[int, ...]
@@ -70,16 +71,15 @@ class ExperimentConfig:
         object.__setattr__(self, "p_grid", tuple(float(p) for p in self.p_grid))
         if not self.K_grid or not self.p_grid:
             raise ValueError("K_grid and p_grid must be non-empty")
-        if any(not 1 <= k < self.n for k in self.K_grid):
-            raise ValueError(f"every K must satisfy 1 <= K < n={self.n}")
-        if any(not 0.0 < p <= 1.0 for p in self.p_grid):
-            raise ValueError("every p must be in (0, 1]")
+        for k in self.K_grid:
+            check_nk(self.n, k)
+        for p in self.p_grid:
+            check_p(p)
+            check_channel(self.channel, p)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if self.channel not in CHANNELS:
-            raise ValueError(f"channel must be one of {CHANNELS}, got {self.channel!r}")
 
 
 def keyed_pairs(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -126,7 +126,7 @@ def _intersection_edges(n: int, K: int, p: float, channel: str,
     if channel == "on_off":
         up = onoff_links(n, p, pair_index(n, a, b), rng)
     else:
-        rho = match_rho(p, allow_large_rho=(channel == "disk_forced")).rho
+        rho = match_rho(p, channel)
         up = toroidal_distance_matrix(rng.random((n, 2)))[a, b] < rho
     return a[up], b[up]
 
@@ -152,12 +152,9 @@ def run_trial(n: int, K: int, p: float, channel: str, trial_seed) -> TrialOutcom
     trial_seed is an int or a tuple of ints (see trial_entropy); identical
     seeds give identical outcomes.
     """
-    if not 1 <= K < n:
-        raise ValueError(f"require 1 <= K < n, got K={K}, n={n}")
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p must be in (0, 1], got {p}")
-    if channel not in CHANNELS:
-        raise ValueError(f"channel must be one of {CHANNELS}, got {channel!r}")
+    check_nk(n, K)
+    check_p(p)
+    check_channel(channel, p)
     rng = rng_from_entropy(trial_seed)
     a, b = _intersection_edges(n, K, p, channel, rng)
     iso = int(np.count_nonzero(degrees(n, a, b) == 0))
@@ -338,8 +335,8 @@ def estimate_edge_prob(n: int, K: int, p: float, trials: int,
 
     Returns (estimate, stderr).
     """
-    if not 1 <= K < n:
-        raise ValueError(f"require 1 <= K < n, got K={K}, n={n}")
+    check_nk(n, K)
+    check_p(p)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = rng_from_entropy((seed, 101, n, K))
@@ -413,10 +410,10 @@ def validate_bounds(n: int, K: int, p: float, samples: int,
     Chernoff tail of the outside-pick count, and the sign of the pairwise
     edge covariance. Intended for small n where moments are estimable.
     """
-    if not 1 <= K < n or n < 3:
-        raise ValueError(f"require n >= 3 and 1 <= K < n, got K={K}, n={n}")
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p must be in (0, 1], got {p}")
+    if n < 3:
+        raise ValueError(f"n must be >= 3, got {n}")
+    check_nk(n, K)
+    check_p(p)
     if samples < 1000:
         raise ValueError(f"need at least 1000 samples, got {samples}")
 

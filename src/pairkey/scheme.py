@@ -15,6 +15,8 @@ import math
 
 import numpy as np
 
+from .theory import check_nk
+
 _BLOCK = 1 << 18  # uniforms drawn at a time
 _GRID = 2.0 ** 53  # Generator.random returns integers times 2**-53
 
@@ -83,6 +85,5 @@ def sample_gamma_matrix(n: int, K: int, rng: np.random.Generator) -> np.ndarray:
     uniforms and the K smallest ranks are kept, so every K-subset is equally
     likely. Rows are independent.
     """
-    if not 1 <= K < n:
-        raise ValueError(f"K must satisfy 1 <= K < n, got K={K}, n={n}")
+    check_nk(n, K)
     return draw_partners((n,), K, rng)

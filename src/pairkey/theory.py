@@ -3,7 +3,8 @@ link probabilities, connectivity thresholds, isolation probabilities, and the
 moment/tail bounds the Monte Carlo suite validates against.
 
 All functions are pure and deterministic; bounds are returned raw (they may
-exceed 1 and are never clamped).
+exceed 1 and are never clamped). The checks of the (n, K, p, channel) domain
+live here too, once each; every entry point of the package calls them.
 """
 
 from __future__ import annotations
@@ -12,22 +13,41 @@ import math
 from dataclasses import dataclass, asdict
 
 
-def _check_nk(n: int, K: int) -> None:
+CHANNELS = ("on_off", "disk", "disk_forced")
+
+
+def check_nk(n: int, K: int) -> None:
     if not 1 <= K < n:
         raise ValueError(f"require 1 <= K < n, got K={K}, n={n}")
 
 
+def check_p(p: float) -> None:
+    if not 0.0 < p <= 1.0:
+        raise ValueError(f"p must be in (0, 1], got {p}")
+
+
+def check_channel(channel: str, p: float) -> None:
+    """The channel name, and on "disk" the range where the matched radius
+    rho = sqrt(p/pi) is below 1/2, so P(edge) = pi*rho^2 holds exactly
+    (p < pi/4). "disk_forced" runs the disk model at any p."""
+    if channel not in CHANNELS:
+        raise ValueError(f"channel must be one of {CHANNELS}, got {channel!r}")
+    if channel == "disk" and math.sqrt(p / math.pi) >= 0.5:
+        raise ValueError(
+            f"p={p} gives rho={math.sqrt(p / math.pi):.5f} >= 0.5 where "
+            "P(edge) != pi*rho^2; use channel disk_forced to run it anyway")
+
+
 def lambda_n(n: int, K: int) -> float:
     """Link probability in the key-sharing graph: 2K/(n-1) - (K/(n-1))^2."""
-    _check_nk(n, K)
+    check_nk(n, K)
     q = K / (n - 1)
     return 2.0 * q - q * q
 
 
 def edge_prob(n: int, K: int, p: float) -> float:
     """Edge probability in the intersection graph: p * lambda_n."""
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p must be in (0, 1], got {p}")
+    check_p(p)
     return p * lambda_n(n, K)
 
 
@@ -55,9 +75,8 @@ def scaling_c_n(n: int, K: int, p: float) -> float:
     """The finite-n scaling constant: c_n = p*(2K - K^2/(n-1)) / log n."""
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
-    _check_nk(n, K)
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p must be in (0, 1], got {p}")
+    check_nk(n, K)
+    check_p(p)
     return p * (2.0 * K - K * K / (n - 1)) / math.log(n)
 
 
@@ -85,9 +104,8 @@ def psi(x: float) -> float:
 def isolation_prob(n: int, K: int, p: float) -> float:
     """Probability that a given node is isolated in the intersection graph:
     (1-p)^K * (1 - pK/(n-1))^(n-K-1)."""
-    _check_nk(n, K)
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p must be in (0, 1], got {p}")
+    check_nk(n, K)
+    check_p(p)
     return (1.0 - p) ** K * (1.0 - p * K / (n - 1)) ** (n - K - 1)
 
 
@@ -103,14 +121,15 @@ def asymptotic_isolation_prob(K: int, p: float) -> float:
 def u_n(n: int, K: int, p: float) -> float:
     """E[(1-p)^X] for X the indicator that a fixed node picked another fixed
     node: 1 - pK/(n-1)."""
-    _check_nk(n, K)
+    check_nk(n, K)
+    check_p(p)
     return 1.0 - p * K / (n - 1)
 
 
 def cross_moment_ratio_bound(n: int, K: int, p: float) -> float:
     """Upper bound on E[chi_1 chi_2] / E[chi_1]^2 for the two-node isolation
     indicators: (1/(1-p)) (K/(n-1))^2 + (1 - pK/(n-1))^(-2)."""
-    _check_nk(n, K)
+    check_nk(n, K)
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p}")
     q = K / (n - 1)
@@ -122,7 +141,7 @@ def estar_mean(n: int, r: int, K: int) -> float:
     r (n-r) K / (n-1)."""
     if not 2 <= r <= n - 1:
         raise ValueError(f"require 2 <= r <= n-1, got r={r}, n={n}")
-    _check_nk(n, K)
+    check_nk(n, K)
     return r * (n - r) * K / (n - 1)
 
 

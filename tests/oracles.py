@@ -1,5 +1,6 @@
 """Brute-force oracles, independent of the library's formulas: exhaustive
-enumeration over pairings (and channel states where feasible), the key rings
+enumeration over pairings (and channel states where feasible), among them the
+exact probability that the on/off intersection graph is connected, the key rings
 of a pairing, and a pure-Python sampler of one trial's graph that draws the
 same random numbers in the same order as the array kernel, and the array
 kernel's whole-array form, which draws each trial's pairing and on/off links
@@ -7,7 +8,7 @@ in one piece. Also two stand-in generators that script or record the
 kernel's draws."""
 
 import math
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -151,6 +152,37 @@ def component_labels(n, edges):
     return labels
 
 
+def exact_connected_probability(n, K, p):
+    """P(the on/off intersection graph is connected), exactly, for n <= 5.
+
+    Every pairing is enumerated and the pairings are grouped by key graph
+    (253 distinct graphs at n=5, K=2). Given its key graph G, the trial is
+    connected iff the up links of G span all n nodes, so the chance is G's
+    all-terminal reliability: the sum of p^|S| (1-p)^(|G|-|S|) over the
+    spanning edge subsets S of G. Edge sets are bitmasks over the C(n,2) pairs.
+    """
+    pairs = list(combinations(range(n), 2))
+    spanning = [s for s in range(1 << len(pairs))
+                if max(component_labels(n, [pr for k, pr in enumerate(pairs)
+                                            if s >> k & 1])) == 0]
+    bit = {pr: 1 << k for k, pr in enumerate(pairs)}
+    graphs = Counter()
+    for pairing in all_pairings(n, K):
+        g = 0
+        for i, picked in enumerate(pairing):
+            for j in picked:
+                g |= bit[min(i, j - 1), max(i, j - 1)]
+        graphs[g] += 1
+    total = sum(graphs.values())
+    prob = 0.0
+    for g, count in graphs.items():
+        m = g.bit_count()
+        reliability = sum(p ** s.bit_count() * (1 - p) ** (m - s.bit_count())
+                          for s in spanning if s & g == s)
+        prob += count / total * reliability
+    return prob
+
+
 def trial(n, K, p, channel, rng):
     """(connected, isolated_count, edge_count) of one sampled trial."""
     edges = sample_instance(n, K, p, channel, rng)[3]
@@ -178,7 +210,7 @@ def intersection_edges(n, K, p, channel, rng):
     if channel == "on_off":
         up = (rng.random(n * (n - 1) // 2) < p)[pair_index(n, a, b)]
     else:
-        rho = match_rho(p, allow_large_rho=(channel == "disk_forced")).rho
+        rho = match_rho(p, channel)
         up = toroidal_distance_matrix(rng.random((n, 2)))[a, b] < rho
     return a[up], b[up]
 

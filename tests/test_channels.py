@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pairkey import montecarlo as mc
-from pairkey.channels import DiskParams, match_rho, toroidal_distance_matrix
+from pairkey.channels import match_rho, toroidal_distance_matrix
 
 from oracles import RecordingRng, ScriptedRng, toroidal_distance
 
@@ -40,10 +40,15 @@ class TestParams:
                 mc.run_trial(5, 2, p, "on_off", 0)
 
     def test_disk_params_range(self):
-        DiskParams(rho=0.3)
-        with pytest.raises(ValueError):
-            DiskParams(rho=0.5)
-        DiskParams(rho=0.6, forced=True)
+        # rho = sqrt(p/pi) must stay below 0.5 on "disk"; "disk_forced" runs
+        # any p, and so does every channel's trial below the bound
+        mc.run_trial(5, 2, 0.3, "disk", 0)
+        with pytest.raises(ValueError, match="disk_forced"):
+            mc.run_trial(5, 2, math.pi / 4, "disk", 0)  # rho = 0.5 exactly
+        mc.run_trial(5, 2, math.pi / 4, "disk_forced", 0)
+        for p in (0.0, 1.5):
+            with pytest.raises(ValueError):
+                mc.run_trial(5, 2, p, "disk_forced", 0)
 
 
 class TestSampleEr:
@@ -125,22 +130,23 @@ class TestToroidalDistance:
 
 class TestMatchRho:
     def test_exact_algebra(self):
-        assert match_rho(math.pi / 16).rho == pytest.approx(0.25, abs=1e-15)
+        assert match_rho(math.pi / 16) == pytest.approx(0.25, abs=1e-15)
 
     def test_p02(self):
-        assert match_rho(0.2).rho == pytest.approx(0.2523132522, abs=1e-9)
+        assert match_rho(0.2) == pytest.approx(0.2523132522, abs=1e-9)
 
     def test_large_p_rejected(self):
         with pytest.raises(ValueError):
             match_rho(0.8)
 
     def test_large_p_forced(self):
-        dp = match_rho(0.8, allow_large_rho=True)
-        assert dp.forced
-        assert dp.rho == pytest.approx(0.5046265044, abs=1e-9)
+        assert match_rho(0.8, "disk_forced") == pytest.approx(0.5046265044, abs=1e-9)
 
     def test_boundary(self):
-        assert not match_rho(0.7).forced  # rho ~ 0.472 < 0.5
+        assert match_rho(0.7) == pytest.approx(0.4720348719, abs=1e-9)  # < 0.5
+        with pytest.raises(ValueError, match="disk_forced"):
+            match_rho(math.pi / 4)  # rho = 0.5
+        assert match_rho(math.pi / 4, "disk_forced") == 0.5
 
 
 def disk_edges(n, p, seed):

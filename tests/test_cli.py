@@ -64,6 +64,30 @@ class TestUsageErrors:
     def test_unknown_figure(self, tmp_path):
         assert run(["figure", "fig99", "--out", str(tmp_path / "x.csv")]) == 1
 
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--n", "10", "--K", "2", "--p", "0.5", "--trials", "1",
+         "--seed", "1", "--workers", "1"],
+        ["figure", "fig2", "--trials", "1", "--seed", "1", "--workers", "1"],
+        ["validate", "--samples", "1000", "--seed", "1"],
+    ])
+    def test_unwritable_out_fails_before_any_work(self, command, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran")
+
+        monkeypatch.setattr(mc, "_run_cell", no_work)
+        monkeypatch.setattr(mc, "validate_bounds", no_work)
+        assert run(command + ["--out", "/nonexistent/dir/x.csv"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("error: ") and "/nonexistent/dir/x.csv" in err[-1]
+
+    def test_write_failure_is_one_line(self, tmp_path, capsys):
+        # the directory check passes, then opening a directory as the file fails
+        rc = run(["simulate", "--n", "10", "--K", "2", "--p", "0.5", "--trials", "1",
+                  "--seed", "1", "--workers", "1", "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("error: ") and str(tmp_path) in err[-1]
+
 
 class TestTheoryCommand:
     def test_json_to_stdout(self, capsys):
@@ -174,8 +198,8 @@ class TestSimulateCommand:
     def test_disk_forced_via_flag(self, tmp_path):
         out = tmp_path / "d.csv"
         rc = run(["simulate", "--n", "10", "--K", "2", "--p", "0.9",
-                  "--trials", "5", "--seed", "2", "--channel", "disk",
-                  "--allow-large-rho", "--workers", "1", "--out", str(out)])
+                  "--trials", "5", "--seed", "2", "--channel", "disk_forced",
+                  "--workers", "1", "--out", str(out)])
         assert rc == 0
         assert out.read_text().splitlines()[1].startswith("disk_forced,")
 

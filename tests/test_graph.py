@@ -226,7 +226,7 @@ class TestIntersect:
             up = {pr for pr, x in zip(pairs, channel_u) if x < 0.3}
         else:
             channel_u = r.random((n, 2))
-            rho = match_rho(0.3).rho
+            rho = match_rho(0.3)
             up = {(i, j) for i, j in pairs
                   if toroidal_distance(channel_u[i], channel_u[j]) < rho}
         keyed = set(zip(*(x.tolist() for x in

@@ -34,6 +34,13 @@ DUMP_DIGESTS = {
 }
 
 
+# (n, K, p, trials, seed) -> estimate_edge_prob's (estimate, stderr)
+EDGE_PROB = {
+    (200, 12, 0.2, 20000, 1): (0.02375, 0.001076706494361393),
+    (5, 2, 0.5, 20000, 3): (0.36885, 0.0034117420586849763),
+}
+
+
 @pytest.mark.parametrize("channel", sorted(SWEEP_DIGESTS))
 def test_sweep_csv_digest(channel):
     p_grid, digest = SWEEP_DIGESTS[channel]
@@ -50,3 +57,9 @@ def test_dump_instance_digest(instance, tmp_path):
     for name in DUMP_FILES:
         h.update((tmp_path / name).read_bytes())
     assert h.hexdigest() == DUMP_DIGESTS[instance]
+
+
+@pytest.mark.parametrize("args", sorted(EDGE_PROB))
+def test_estimate_edge_prob_values(args):
+    n, K, p, trials, seed = args
+    assert mc.estimate_edge_prob(n, K, p, trials, seed) == EDGE_PROB[args]
