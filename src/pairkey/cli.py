@@ -8,7 +8,9 @@ stderr), 2 validation-suite failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import numbers
 import os
 import secrets
 import sys
@@ -19,12 +21,15 @@ import numpy as np
 from . import montecarlo as mc
 from . import theory
 
-PRESET_K_GRID = tuple(range(1, 26))
-PRESET_P_GRID = (0.2, 0.4, 0.6, 0.8, 1.0)
-PRESET_TRIALS = 500
-PRESET_N = 200
+# simulate's defaults are the figure grid; dump-instance's are the
+# fig-intersection instance
+_SIM_DEFAULTS = {"n": 200, "K": tuple(range(1, 26)), "p": (0.2, 0.4, 0.6, 0.8, 1.0),
+                 "trials": 500, "seed": 0, "channel": "on_off"}
+_INSTANCE_DEFAULTS = {"n": 50, "K": 5, "p": 0.2}
 
-FIGURE_PRESETS = ("fig2", "fig3", "fig4", "fig-intersection")
+# each figure sweep is simulate at its defaults on this channel
+_FIGURE_CHANNELS = {"fig2": "on_off", "fig3": "on_off", "fig4": "disk_forced"}
+FIGURE_PRESETS = (*_FIGURE_CHANNELS, "fig-intersection")
 
 
 class _UsageError(Exception):
@@ -40,28 +45,36 @@ def parse_k_values(text: str) -> tuple[int, ...]:
     """Accepts comma lists and inclusive "a..b" ranges, e.g. "1..25" or "2,5,9"."""
     out: list[int] = []
     for item in text.split(","):
-        item = item.strip()
-        if ".." in item:
-            lo, hi = item.split("..")
-            lo, hi = int(lo), int(hi)
-            if hi < lo:
-                raise _UsageError(f"empty K range {item!r}")
-            out.extend(range(lo, hi + 1))
-        else:
-            out.append(int(item))
-    if not out:
-        raise _UsageError("no K values given")
+        lo, sep, hi = item.partition("..")
+        try:
+            lo, hi = int(lo), int(hi if sep else lo)
+        except ValueError:
+            raise _UsageError(f"bad K list {text!r}: {item.strip()!r} is not "
+                              "an integer or an a..b range") from None
+        if hi < lo:
+            raise _UsageError(f"empty K range {item.strip()!r}")
+        out.extend(range(lo, hi + 1))
     return tuple(out)
 
 
 def parse_p_values(text: str) -> tuple[float, ...]:
     try:
-        out = tuple(float(x) for x in text.split(","))
+        return tuple(float(x) for x in text.split(","))
     except ValueError as e:
-        raise _UsageError(f"bad p list {text!r}: {e}")
-    if not out:
-        raise _UsageError("no p values given")
-    return out
+        raise _UsageError(f"bad p list {text!r}: {e}") from None
+
+
+def _grid(key: str, value, parse) -> tuple:
+    """A K or p grid from --config or a flag: a string is parsed as the flag
+    text, a number is a one-cell grid, a list of numbers is taken as is.
+    ExperimentConfig checks the values."""
+    if isinstance(value, str):
+        return parse(value)
+    items = value if isinstance(value, (list, tuple)) else [value]
+    if not all(isinstance(v, numbers.Real) for v in items):
+        raise _UsageError(f"{key} must be a grid string, a number or a list "
+                          f"of numbers, got {value!r}")
+    return tuple(items)
 
 
 def _workers(flag) -> int:
@@ -117,23 +130,26 @@ def _check_out(path: str) -> None:
         raise _UsageError(f"cannot write {path}: {folder} is not a writable directory")
 
 
-def figure_preset(name: str, seed: int, trials: int = PRESET_TRIALS):
+def _sweep_config(**values) -> mc.ExperimentConfig:
+    """simulate's defaults, updated by `values`, as a checked config."""
+    values = {**_SIM_DEFAULTS, **values}
+    return mc.ExperimentConfig(
+        n=values["n"], K_grid=_grid("K", values["K"], parse_k_values),
+        p_grid=_grid("p", values["p"], parse_p_values), trials=values["trials"],
+        seed=values["seed"], channel=values["channel"])
+
+
+def figure_preset(name: str, seed: int, trials: int = _SIM_DEFAULTS["trials"]):
     """Canned experiment configs for the standard figure grids.
 
-    fig2/fig3 share one on/off sweep (connectivity and isolation columns of
-    the same table); fig4 is the disk-model run on the same grid with the
-    forced-range matching. fig-intersection is an instance-dump plan.
+    Each sweep is simulate at its defaults: fig2/fig3 on on/off (the
+    connectivity and isolation columns of one table), fig4 on disk_forced.
+    fig-intersection is the plan of dump-instance at its defaults.
     """
-    if name in ("fig2", "fig3"):
-        return mc.ExperimentConfig(n=PRESET_N, K_grid=PRESET_K_GRID,
-                                   p_grid=PRESET_P_GRID, trials=trials,
-                                   seed=seed, channel="on_off")
-    if name == "fig4":
-        return mc.ExperimentConfig(n=PRESET_N, K_grid=PRESET_K_GRID,
-                                   p_grid=PRESET_P_GRID, trials=trials,
-                                   seed=seed, channel="disk_forced")
+    if name in _FIGURE_CHANNELS:
+        return _sweep_config(trials=trials, seed=seed, channel=_FIGURE_CHANNELS[name])
     if name == "fig-intersection":
-        return {"n": 50, "K": 5, "p": 0.2, "seed": seed}
+        return {**_INSTANCE_DEFAULTS, "seed": seed}
     raise _UsageError(f"unknown figure preset {name!r}; choose from {FIGURE_PRESETS}")
 
 
@@ -203,66 +219,54 @@ def _build_parser() -> _Parser:
 
     fig = sub.add_parser("figure", help="run a figure preset")
     fig.add_argument("name", choices=FIGURE_PRESETS)
-    fig.add_argument("--seed", type=int, default=0)
-    fig.add_argument("--trials", type=int, default=PRESET_TRIALS)
+    fig.add_argument("--seed", type=int, default=_SIM_DEFAULTS["seed"])
+    fig.add_argument("--trials", type=int, default=_SIM_DEFAULTS["trials"])
     fig.add_argument("--workers", type=int, default=None)
     fig.add_argument("--out", type=str, required=True,
                      help="csv path (sweeps) or directory (fig-intersection)")
 
     dmp = sub.add_parser("dump-instance", help="dump one sampled instance")
-    dmp.add_argument("--n", type=int, default=50)
-    dmp.add_argument("--K", type=int, default=5)
-    dmp.add_argument("--p", type=float, default=0.2)
+    dmp.add_argument("--n", type=int, default=_INSTANCE_DEFAULTS["n"])
+    dmp.add_argument("--K", type=int, default=_INSTANCE_DEFAULTS["K"])
+    dmp.add_argument("--p", type=float, default=_INSTANCE_DEFAULTS["p"])
     dmp.add_argument("--seed", type=int, default=0)
     dmp.add_argument("--outdir", type=str, required=True)
 
     return parser
 
 
-_SIM_DEFAULTS = {
-    "n": PRESET_N, "K": "1..25", "p": "0.2,0.4,0.6,0.8,1.0",
-    "trials": PRESET_TRIALS, "seed": 0, "channel": "on_off",
-}
-
-
-def _simulate_config(args) -> tuple[mc.ExperimentConfig, int]:
-    values = dict(_SIM_DEFAULTS)
+def _simulate_config(args) -> mc.ExperimentConfig:
+    """simulate's defaults, then the --config file, then the flags given."""
+    values = {}
     if args.config:
         with open(args.config) as f:
-            loaded = json.load(f)
-        if not isinstance(loaded, dict):
+            values = json.load(f)
+        if not isinstance(values, dict):
             raise _UsageError(f"{args.config}: config must be a JSON object")
-        unknown = sorted(set(loaded) - set(_SIM_DEFAULTS))
+        unknown = sorted(set(values) - set(_SIM_DEFAULTS))
         if unknown:
             raise _UsageError(f"{args.config}: unknown config key(s) {', '.join(unknown)}; "
                               f"known: {', '.join(_SIM_DEFAULTS)}")
-        values.update(loaded)
-    for key in _SIM_DEFAULTS:
-        flag = getattr(args, key)
-        if flag is not None:
-            values[key] = flag
-    k_grid = parse_k_values(str(values["K"]))
-    p_grid = parse_p_values(str(values["p"])) if isinstance(values["p"], str) \
-        else tuple(float(x) for x in values["p"])
-    seed = _effective_seed(int(values["seed"]))
-    config = mc.ExperimentConfig(
-        n=int(values["n"]), K_grid=k_grid, p_grid=p_grid,
-        trials=int(values["trials"]), seed=seed, channel=values["channel"])
-    workers = _workers(args.workers)
-    return config, workers
+    flags = {key: getattr(args, key) for key in _SIM_DEFAULTS}
+    return _sweep_config(**values | {k: v for k, v in flags.items() if v is not None})
+
+
+def _run_sweep(config: mc.ExperimentConfig, workers, out: str, fmt: str) -> int:
+    """Check the worker count and the output path, fix the seed, then run
+    the sweep and write it."""
+    workers = _workers(workers)
+    _check_out(out)
+    config = dataclasses.replace(config, seed=_effective_seed(config.seed))
+    write_outputs(mc.sweep(config, workers=workers), out, fmt)
+    return 0
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
 
         if args.command == "simulate":
-            config, workers = _simulate_config(args)
-            _check_out(args.out)
-            table = mc.sweep(config, workers=workers)
-            write_outputs(table, args.out, args.format)
-            return 0
+            return _run_sweep(_simulate_config(args), args.workers, args.out, args.format)
 
         if args.command == "theory":
             report = theory.theory_report(args.n, args.K, args.p)
@@ -287,17 +291,10 @@ def main(argv=None) -> int:
             return 0 if report.all_passed else 2
 
         if args.command == "figure":
-            seed = _effective_seed(args.seed)
-            preset = figure_preset(args.name, seed=seed, trials=args.trials)
-            if args.name == "fig-intersection":
-                dump_instance(preset["n"], preset["K"], preset["p"],
-                              seed=seed, outdir=args.out)
-                return 0
-            workers = _workers(args.workers)
-            _check_out(args.out)
-            table = mc.sweep(preset, workers=workers)
-            write_outputs(table, args.out, "csv")
-            return 0
+            preset = figure_preset(args.name, seed=args.seed, trials=args.trials)
+            if args.name != "fig-intersection":
+                return _run_sweep(preset, args.workers, args.out, "csv")
+            args = argparse.Namespace(command="dump-instance", outdir=args.out, **preset)
 
         if args.command == "dump-instance":
             seed = _effective_seed(args.seed)

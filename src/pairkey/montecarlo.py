@@ -29,9 +29,10 @@ from scipy.sparse.csgraph import connected_components as _sparse_components
 from . import theory
 from .channels import match_rho, toroidal_distance_matrix
 from .scheme import _BLOCK, draw_partners, sample_gamma_matrix
-from .theory import CHANNELS, check_channel, check_nk, check_p
+from .theory import CHANNELS, check_channel, check_int, check_nk, check_p
 
 _CHANNEL_TAGS = {"on_off": 1, "disk": 2, "disk_forced": 3}
+TAIL_T = 0.5  # validate_bounds' estar_tail: P(count <= (1 - TAIL_T) * mean)
 
 
 def trial_entropy(seed: int, channel: str, n: int, k_index: int,
@@ -67,19 +68,18 @@ class ExperimentConfig:
     channel: str = "on_off"
 
     def __post_init__(self):
-        object.__setattr__(self, "K_grid", tuple(int(k) for k in self.K_grid))
-        object.__setattr__(self, "p_grid", tuple(float(p) for p in self.p_grid))
-        if not self.K_grid or not self.p_grid:
+        K_grid, p_grid = tuple(self.K_grid), tuple(self.p_grid)
+        if not K_grid or not p_grid:
             raise ValueError("K_grid and p_grid must be non-empty")
-        for k in self.K_grid:
+        for k in K_grid:
             check_nk(self.n, k)
-        for p in self.p_grid:
+        for p in p_grid:
             check_p(p)
             check_channel(self.channel, p)
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        check_int("trials", self.trials, 1)
+        check_int("seed", self.seed, 0)
+        object.__setattr__(self, "K_grid", tuple(map(int, K_grid)))
+        object.__setattr__(self, "p_grid", tuple(map(float, p_grid)))
 
 
 def keyed_pairs(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -270,8 +270,7 @@ def _run_cell(args) -> tuple[int, int, int, int]:
 def pool_size(workers: int, units: int) -> int:
     """Worker processes to start for `units` work items: `workers`, but never
     more than there are items."""
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    check_int("workers", workers, 1)
     return min(workers, units)
 
 
@@ -337,8 +336,7 @@ def estimate_edge_prob(n: int, K: int, p: float, trials: int,
     """
     check_nk(n, K)
     check_p(p)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    check_int("trials", trials, 1)
     rng = rng_from_entropy((seed, 101, n, K))
     hits = 0
     done = 0
@@ -400,7 +398,7 @@ def _upper(name, emp, bound, sigma) -> BoundCheck:
 
 
 def validate_bounds(n: int, K: int, p: float, samples: int,
-                    seed: int = 0, tail_t: float = 0.5) -> ValidationReport:
+                    seed: int = 0) -> ValidationReport:
     """Estimate every checkable moment and compare it against its closed
     form or bound at the 3-sigma level.
 
@@ -410,12 +408,10 @@ def validate_bounds(n: int, K: int, p: float, samples: int,
     Chernoff tail of the outside-pick count, and the sign of the pairwise
     edge covariance. Intended for small n where moments are estimable.
     """
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
+    check_int("n", n, 3)
     check_nk(n, K)
     check_p(p)
-    if samples < 1000:
-        raise ValueError(f"need at least 1000 samples, got {samples}")
+    check_int("samples", samples, 1000)
 
     rng = rng_from_entropy((seed, 102, n, K))
     r = 2
@@ -430,7 +426,7 @@ def validate_bounds(n: int, K: int, p: float, samples: int,
     done = 0
     chunk = max(1000, min(samples, int(2e6 / (n * n))))
     e_mean = theory.estar_mean(n, r, K)
-    tail_cut = (1.0 - tail_t) * e_mean
+    tail_cut = (1.0 - TAIL_T) * e_mean
 
     while done < samples:
         t = min(chunk, samples - done)
@@ -523,7 +519,7 @@ def validate_bounds(n: int, K: int, p: float, samples: int,
                              math.sqrt(e_var / T) if e_var > 0 else 1.0 / T))
 
     tail_hat = s_tail / T
-    tail_bound = theory.estar_chernoff(n, r, K, tail_t)
+    tail_bound = theory.estar_chernoff(n, r, K, TAIL_T)
     checks.append(_upper("estar_tail", tail_hat, tail_bound,
                          math.sqrt(max(tail_hat * (1 - tail_hat), 1.0 / T) / T)))
 

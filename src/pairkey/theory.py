@@ -4,24 +4,39 @@ moment/tail bounds the Monte Carlo suite validates against.
 
 All functions are pure and deterministic; bounds are returned raw (they may
 exceed 1 and are never clamped). The checks of the (n, K, p, channel) domain
-live here too, once each; every entry point of the package calls them.
+and the one integer rule live here too, once each; every entry point of the
+package calls them.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, asdict
 
 
 CHANNELS = ("on_off", "disk", "disk_forced")
 
 
+def check_int(name: str, value, low: int | None = None) -> None:
+    """An integer, at least `low` if given; a bool, a float (even 2.0) or a
+    string is rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
 def check_nk(n: int, K: int) -> None:
+    check_int("n", n)
+    check_int("K", K)
     if not 1 <= K < n:
         raise ValueError(f"require 1 <= K < n, got K={K}, n={n}")
 
 
 def check_p(p: float) -> None:
+    if isinstance(p, bool) or not isinstance(p, numbers.Real):
+        raise ValueError(f"p must be a real number, got {p!r}")
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must be in (0, 1], got {p}")
 
@@ -73,8 +88,7 @@ def tau_hat(p: float) -> float:
 
 def scaling_c_n(n: int, K: int, p: float) -> float:
     """The finite-n scaling constant: c_n = p*(2K - K^2/(n-1)) / log n."""
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
+    check_int("n", n, 3)
     check_nk(n, K)
     check_p(p)
     return p * (2.0 * K - K * K / (n - 1)) / math.log(n)
@@ -87,11 +101,6 @@ def alpha_n(n: int, K: int, p: float) -> float:
         raise ValueError(f"p must be in (0, 1), got {p}")
     c = scaling_c_n(n, K, p)
     return (1.0 - c) * math.log(n) + K * (p + math.log1p(-p))
-
-
-def expected_isolated_approx(n: int, K: int, p: float) -> float:
-    """exp(alpha_n): the large-n approximation of n * isolation_prob."""
-    return math.exp(alpha_n(n, K, p))
 
 
 def psi(x: float) -> float:
@@ -111,8 +120,7 @@ def isolation_prob(n: int, K: int, p: float) -> float:
 
 def asymptotic_isolation_prob(K: int, p: float) -> float:
     """Large-n limit of isolation_prob at fixed (K, p): (1-p)^K * e^(-pK)."""
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
+    check_int("K", K, 1)
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p}")
     return (1.0 - p) ** K * math.exp(-p * K)
@@ -163,8 +171,7 @@ def connected_subset_bound(n: int, r: int, K: int, p: float) -> float:
 
 def predicted_threshold_K(n: int, p: float) -> float:
     """Critical number of partners for connectivity: tau_hat(p) * log n."""
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
+    check_int("n", n, 3)
     return tau_hat(p) * math.log(n)
 
 

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,14 @@ def run(argv):
 def read_edges(path):
     return [tuple(int(x) for x in line.split())
             for line in path.read_text().splitlines()]
+
+
+def no_work(*args, **kwargs):
+    raise AssertionError("work ran")
+
+
+INSTANCE_FILES = ("channel.edges", "pairwise.edges", "intersection.edges",
+                  "intersection.components", "pairing.txt")
 
 
 class TestParseGrids:
@@ -71,9 +81,6 @@ class TestUsageErrors:
         ["validate", "--samples", "1000", "--seed", "1"],
     ])
     def test_unwritable_out_fails_before_any_work(self, command, monkeypatch, capsys):
-        def no_work(*args, **kwargs):
-            raise AssertionError("work ran")
-
         monkeypatch.setattr(mc, "_run_cell", no_work)
         monkeypatch.setattr(mc, "validate_bounds", no_work)
         assert run(command + ["--out", "/nonexistent/dir/x.csv"]) == 1
@@ -171,6 +178,38 @@ class TestSimulateCommand:
         assert "trails" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("config", [{"K": [1, 2], "p": "0.5"},
+                                        {"K": "1,2", "p": 0.5},
+                                        {"K": [1, 2], "p": [0.5]}])
+    def test_config_grid_same_as_flags(self, tmp_path, config):
+        # a JSON list or number is the grid its flag text would give
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        common = ["simulate", "--n", "12", "--trials", "5", "--seed", "4",
+                  "--workers", "1"]
+        flags, from_file = tmp_path / "flags.csv", tmp_path / "config.csv"
+        assert run(common + ["--K", "1,2", "--p", "0.5", "--out", str(flags)]) == 0
+        assert run(common + ["--config", str(cfg), "--out", str(from_file)]) == 0
+        assert from_file.read_bytes() == flags.read_bytes()
+
+    @pytest.mark.parametrize("config", [{"K": {"a": 1}}, {"trials": 2.7},
+                                        {"n": 20.9}, {"seed": True}])
+    def test_config_value_of_wrong_type_rejected(self, tmp_path, monkeypatch,
+                                                 capsys, config):
+        monkeypatch.setattr(mc, "_run_cell", no_work)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "c.csv"
+        rc = run(["simulate", "--config", str(cfg), "--workers", "1",
+                  "--out", str(out)])
+        assert rc == 1
+        (key,) = config
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {key} must be "), err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_workers_below_one_rejected(self, tmp_path, capsys):
         rc = run(["simulate", "--n", "10", "--K", "2", "--p", "0.5",
                   "--trials", "2", "--seed", "1", "--workers", "0",
@@ -241,8 +280,7 @@ class TestDumpInstance:
         rc = run(["dump-instance", "--n", "20", "--K", "3", "--p", "0.5",
                   "--seed", "9", "--outdir", str(outdir)])
         assert rc == 0
-        for name in ("channel.edges", "pairwise.edges", "intersection.edges",
-                     "intersection.components", "pairing.txt"):
+        for name in INSTANCE_FILES:
             assert (outdir / name).exists()
         comp = (outdir / "intersection.components").read_text().splitlines()
         assert comp[0].startswith("# components: ")
@@ -334,3 +372,38 @@ class TestFigurePresets:
         assert rc == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 1 + 25 * 5
+
+    @pytest.mark.parametrize("name,flags", [("fig2", []),
+                                            ("fig4", ["--channel", "disk_forced"])])
+    def test_figure_sweep_is_simulate(self, tmp_path, name, flags):
+        common = ["--trials", "2", "--seed", "8", "--workers", "2"]
+        fig, sim = tmp_path / "fig.csv", tmp_path / "sim.csv"
+        assert run(["figure", name, *common, "--out", str(fig)]) == 0
+        assert run(["simulate", *flags, *common, "--out", str(sim)]) == 0
+        assert fig.read_bytes() == sim.read_bytes()
+
+    def test_figure_intersection_is_dump_instance(self, tmp_path):
+        fig, dump = tmp_path / "fig", tmp_path / "dump"
+        assert run(["figure", "fig-intersection", "--seed", "8",
+                    "--out", str(fig)]) == 0
+        assert run(["dump-instance", "--seed", "8", "--outdir", str(dump)]) == 0
+        assert sorted(p.name for p in fig.iterdir()) == sorted(INSTANCE_FILES)
+        for name in INSTANCE_FILES:
+            assert (fig / name).read_bytes() == (dump / name).read_bytes(), name
+
+
+def readme_commands():
+    """The arguments of every `pairkey ...` line in README's "Command line"
+    block, with backslash continuations joined."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("pairkey ")]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == {
+        "simulate", "theory", "validate", "figure", "dump-instance"}
+    for argv in commands:
+        cli._build_parser().parse_args(argv)

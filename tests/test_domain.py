@@ -13,6 +13,8 @@ from pairkey.scheme import sample_gamma_matrix
 BAD = {
     "K=0": ("nk", 10, 0, 0.5, "on_off"),
     "K=n": ("nk", 10, 10, 0.5, "on_off"),
+    "n=10.5": ("nk", 10.5, 3, 0.5, "on_off"),
+    "K=2.5": ("nk", 10, 2.5, 0.5, "on_off"),
     "p=0": ("p", 10, 3, 0.0, "on_off"),
     "p=1.5": ("p", 10, 3, 1.5, "on_off"),
     "p=-0.2": ("p", 10, 3, -0.2, "on_off"),

@@ -2,6 +2,7 @@ import math
 from dataclasses import replace
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from pairkey import montecarlo as mc
@@ -86,6 +87,24 @@ class TestConfig:
         with pytest.raises(ValueError):
             mc.ExperimentConfig(n=10, K_grid=(2,), p_grid=(0.5,), trials=5,
                                 seed=1, channel="bogus")
+
+    @pytest.mark.parametrize("bad,message", [
+        ({"trials": 2.5}, "trials must be an integer"),
+        ({"K_grid": (2.7,)}, "K must be an integer"),
+        ({"seed": True}, "seed must be an integer"),
+        ({"p_grid": (True,)}, "p must be a real number"),
+    ])
+    def test_values_checked_not_coerced(self, bad, message):
+        # a non-integral trials or K is an error, not truncated to an int
+        with pytest.raises(ValueError, match=message):
+            mc.ExperimentConfig(**{"n": 10, "K_grid": (2,), "p_grid": (0.5,),
+                                   "trials": 5, "seed": 1, **bad})
+
+    def test_grids_normalised_after_checks(self):
+        cfg = mc.ExperimentConfig(n=10, K_grid=[np.int64(2)], p_grid=[1],
+                                  trials=5, seed=1)
+        assert cfg.K_grid == (2,) and type(cfg.K_grid[0]) is int
+        assert cfg.p_grid == (1.0,) and type(cfg.p_grid[0]) is float
 
 
 SMALL = mc.ExperimentConfig(n=25, K_grid=(2, 4, 6), p_grid=(0.3, 0.8),
