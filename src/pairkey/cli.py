@@ -27,18 +27,16 @@ _SIM_DEFAULTS = {"n": 200, "K": tuple(range(1, 26)), "p": (0.2, 0.4, 0.6, 0.8, 1
                  "trials": 500, "seed": 0, "channel": "on_off"}
 _INSTANCE_DEFAULTS = {"n": 50, "K": 5, "p": 0.2}
 
-# each figure sweep is simulate at its defaults on this channel
-_FIGURE_CHANNELS = {"fig2": "on_off", "fig3": "on_off", "fig4": "disk_forced"}
-FIGURE_PRESETS = (*_FIGURE_CHANNELS, "fig-intersection")
-
-
-class _UsageError(Exception):
-    pass
+# `figure NAME ARGS...` runs the command FIGURES[NAME] + ARGS; fig2 and fig3
+# are the connectivity and isolation columns of one on/off table
+FIGURES = {"fig2": ["simulate"], "fig3": ["simulate"],
+           "fig4": ["simulate", "--channel", "disk_forced"],
+           "fig-intersection": ["dump-instance"]}
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def parse_k_values(text: str) -> tuple[int, ...]:
@@ -49,10 +47,10 @@ def parse_k_values(text: str) -> tuple[int, ...]:
         try:
             lo, hi = int(lo), int(hi if sep else lo)
         except ValueError:
-            raise _UsageError(f"bad K list {text!r}: {item.strip()!r} is not "
-                              "an integer or an a..b range") from None
+            raise ValueError(f"bad K list {text!r}: {item.strip()!r} is not "
+                             "an integer or an a..b range") from None
         if hi < lo:
-            raise _UsageError(f"empty K range {item.strip()!r}")
+            raise ValueError(f"empty K range {item.strip()!r}")
         out.extend(range(lo, hi + 1))
     return tuple(out)
 
@@ -61,7 +59,7 @@ def parse_p_values(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(x) for x in text.split(","))
     except ValueError as e:
-        raise _UsageError(f"bad p list {text!r}: {e}") from None
+        raise ValueError(f"bad p list {text!r}: {e}") from None
 
 
 def _grid(key: str, value, parse) -> tuple:
@@ -72,8 +70,8 @@ def _grid(key: str, value, parse) -> tuple:
         return parse(value)
     items = value if isinstance(value, (list, tuple)) else [value]
     if not all(isinstance(v, numbers.Real) for v in items):
-        raise _UsageError(f"{key} must be a grid string, a number or a list "
-                          f"of numbers, got {value!r}")
+        raise ValueError(f"{key} must be a grid string, a number or a list "
+                         f"of numbers, got {value!r}")
     return tuple(items)
 
 
@@ -86,20 +84,19 @@ def _workers(flag) -> int:
         try:
             workers = int(text)
         except ValueError:
-            raise _UsageError(f"{source} must be an integer, got {text!r}") from None
+            raise ValueError(f"{source} must be an integer, got {text!r}") from None
     else:
         return os.cpu_count() or 1
     if workers < 1:
-        raise _UsageError(f"{source} must be >= 1, got {workers}")
+        raise ValueError(f"{source} must be >= 1, got {workers}")
     return workers
 
 
 def _effective_seed(seed: int) -> int:
-    """seed 0 means: derive one from entropy (it is printed either way)."""
-    if seed == 0:
-        seed = secrets.randbits(63) or 1
-    print(f"seed: {seed}", file=sys.stderr)
-    return seed
+    """seed 0 means: derive one from entropy. Callers print the seed once
+    every other input has passed its checks."""
+    theory.check_int("seed", seed, 0)
+    return seed or secrets.randbits(63) or 1
 
 
 def write_outputs(obj, path: str, fmt: str) -> None:
@@ -127,7 +124,7 @@ def _check_out(path: str) -> None:
     missing or not writable."""
     folder = Path(path).parent
     if not (folder.is_dir() and os.access(folder, os.W_OK)):
-        raise _UsageError(f"cannot write {path}: {folder} is not a writable directory")
+        raise ValueError(f"cannot write {path}: {folder} is not a writable directory")
 
 
 def _sweep_config(**values) -> mc.ExperimentConfig:
@@ -137,20 +134,6 @@ def _sweep_config(**values) -> mc.ExperimentConfig:
         n=values["n"], K_grid=_grid("K", values["K"], parse_k_values),
         p_grid=_grid("p", values["p"], parse_p_values), trials=values["trials"],
         seed=values["seed"], channel=values["channel"])
-
-
-def figure_preset(name: str, seed: int, trials: int = _SIM_DEFAULTS["trials"]):
-    """Canned experiment configs for the standard figure grids.
-
-    Each sweep is simulate at its defaults: fig2/fig3 on on/off (the
-    connectivity and isolation columns of one table), fig4 on disk_forced.
-    fig-intersection is the plan of dump-instance at its defaults.
-    """
-    if name in _FIGURE_CHANNELS:
-        return _sweep_config(trials=trials, seed=seed, channel=_FIGURE_CHANNELS[name])
-    if name == "fig-intersection":
-        return {**_INSTANCE_DEFAULTS, "seed": seed}
-    raise _UsageError(f"unknown figure preset {name!r}; choose from {FIGURE_PRESETS}")
 
 
 def _write_edges(path: Path, a, b) -> None:
@@ -166,6 +149,7 @@ def dump_instance(n: int, K: int, p: float, seed: int, outdir: str) -> None:
     then one uniform per pair."""
     theory.check_nk(n, K)
     theory.check_p(p)
+    theory.check_int("seed", seed, 0)
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     rng = mc.rng_from_entropy((seed, 201, n, K))
@@ -197,7 +181,7 @@ def _build_parser() -> _Parser:
     sim.add_argument("--p", type=str, default=None, help='p list, e.g. "0.2,0.4"')
     sim.add_argument("--trials", type=int, default=None)
     sim.add_argument("--seed", type=int, default=None)
-    sim.add_argument("--channel", choices=mc.CHANNELS, default=None)
+    sim.add_argument("--channel", choices=theory.CHANNELS, default=None)
     sim.add_argument("--workers", type=int, default=None)
     sim.add_argument("--out", type=str, required=True)
     sim.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -217,13 +201,10 @@ def _build_parser() -> _Parser:
     val.add_argument("--seed", type=int, default=0)
     val.add_argument("--out", type=str, default=None)
 
-    fig = sub.add_parser("figure", help="run a figure preset")
-    fig.add_argument("name", choices=FIGURE_PRESETS)
-    fig.add_argument("--seed", type=int, default=_SIM_DEFAULTS["seed"])
-    fig.add_argument("--trials", type=int, default=_SIM_DEFAULTS["trials"])
-    fig.add_argument("--workers", type=int, default=None)
-    fig.add_argument("--out", type=str, required=True,
-                     help="csv path (sweeps) or directory (fig-intersection)")
+    fig = sub.add_parser("figure", help="run a figure preset: the command it "
+                         "names, with the arguments that follow")
+    fig.add_argument("name", choices=FIGURES)
+    fig.add_argument("args", nargs=argparse.REMAINDER)
 
     dmp = sub.add_parser("dump-instance", help="dump one sampled instance")
     dmp.add_argument("--n", type=int, default=_INSTANCE_DEFAULTS["n"])
@@ -242,23 +223,13 @@ def _simulate_config(args) -> mc.ExperimentConfig:
         with open(args.config) as f:
             values = json.load(f)
         if not isinstance(values, dict):
-            raise _UsageError(f"{args.config}: config must be a JSON object")
+            raise ValueError(f"{args.config}: config must be a JSON object")
         unknown = sorted(set(values) - set(_SIM_DEFAULTS))
         if unknown:
-            raise _UsageError(f"{args.config}: unknown config key(s) {', '.join(unknown)}; "
-                              f"known: {', '.join(_SIM_DEFAULTS)}")
+            raise ValueError(f"{args.config}: unknown config key(s) {', '.join(unknown)}; "
+                             f"known: {', '.join(_SIM_DEFAULTS)}")
     flags = {key: getattr(args, key) for key in _SIM_DEFAULTS}
     return _sweep_config(**values | {k: v for k, v in flags.items() if v is not None})
-
-
-def _run_sweep(config: mc.ExperimentConfig, workers, out: str, fmt: str) -> int:
-    """Check the worker count and the output path, fix the seed, then run
-    the sweep and write it."""
-    workers = _workers(workers)
-    _check_out(out)
-    config = dataclasses.replace(config, seed=_effective_seed(config.seed))
-    write_outputs(mc.sweep(config, workers=workers), out, fmt)
-    return 0
 
 
 def main(argv=None) -> int:
@@ -266,7 +237,13 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
 
         if args.command == "simulate":
-            return _run_sweep(_simulate_config(args), args.workers, args.out, args.format)
+            config = _simulate_config(args)
+            workers = _workers(args.workers)
+            _check_out(args.out)
+            config = dataclasses.replace(config, seed=_effective_seed(config.seed))
+            print(f"seed: {config.seed}", file=sys.stderr)
+            write_outputs(mc.sweep(config, workers=workers), args.out, args.format)
+            return 0
 
         if args.command == "theory":
             report = theory.theory_report(args.n, args.K, args.p)
@@ -279,6 +256,7 @@ def main(argv=None) -> int:
             seed = _effective_seed(args.seed)
             report = mc.validate_bounds(args.n, args.K, args.p,
                                         samples=args.samples, seed=seed)
+            print(f"seed: {seed}", file=sys.stderr)
             for c in report.checks:
                 line = (f"{c.name}: empirical={c.empirical:.6g} "
                         f"reference={c.reference:.6g} sigma={c.sigma:.6g} "
@@ -291,18 +269,16 @@ def main(argv=None) -> int:
             return 0 if report.all_passed else 2
 
         if args.command == "figure":
-            preset = figure_preset(args.name, seed=args.seed, trials=args.trials)
-            if args.name != "fig-intersection":
-                return _run_sweep(preset, args.workers, args.out, "csv")
-            args = argparse.Namespace(command="dump-instance", outdir=args.out, **preset)
+            return main(FIGURES[args.name] + args.args)
 
         if args.command == "dump-instance":
             seed = _effective_seed(args.seed)
             dump_instance(args.n, args.K, args.p, seed=seed, outdir=args.outdir)
+            print(f"seed: {seed}", file=sys.stderr)
             return 0
 
-        raise _UsageError(f"unknown command {args.command!r}")
-    except (_UsageError, ValueError, OSError) as e:
+        raise ValueError(f"unknown command {args.command!r}")
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

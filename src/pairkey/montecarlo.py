@@ -29,7 +29,7 @@ from scipy.sparse.csgraph import connected_components as _sparse_components
 from . import theory
 from .channels import match_rho, toroidal_distance_matrix
 from .scheme import _BLOCK, draw_partners, sample_gamma_matrix
-from .theory import CHANNELS, check_channel, check_int, check_nk, check_p
+from .theory import check_channel, check_int, check_nk, check_p
 
 _CHANNEL_TAGS = {"on_off": 1, "disk": 2, "disk_forced": 3}
 TAIL_T = 0.5  # validate_bounds' estar_tail: P(count <= (1 - TAIL_T) * mean)
@@ -337,6 +337,7 @@ def estimate_edge_prob(n: int, K: int, p: float, trials: int,
     check_nk(n, K)
     check_p(p)
     check_int("trials", trials, 1)
+    check_int("seed", seed, 0)
     rng = rng_from_entropy((seed, 101, n, K))
     hits = 0
     done = 0
@@ -412,6 +413,7 @@ def validate_bounds(n: int, K: int, p: float, samples: int,
     check_nk(n, K)
     check_p(p)
     check_int("samples", samples, 1000)
+    check_int("seed", seed, 0)
 
     rng = rng_from_entropy((seed, 102, n, K))
     r = 2

@@ -41,6 +41,13 @@ def check_p(p: float) -> None:
         raise ValueError(f"p must be in (0, 1], got {p}")
 
 
+def check_p_open(p: float) -> None:
+    """p in (0, 1), for the closed forms with log(1-p) or 1/(1-p)."""
+    check_p(p)
+    if p == 1.0:
+        raise ValueError(f"p must be in (0, 1), got {p}")
+
+
 def check_channel(channel: str, p: float) -> None:
     """The channel name, and on "disk" the range where the matched radius
     rho = sqrt(p/pi) is below 1/2, so P(edge) = pi*rho^2 holds exactly
@@ -81,8 +88,7 @@ def tau(p: float) -> float:
 
 def tau_hat(p: float) -> float:
     """Threshold constant for K ~ t log n: tau(p)/(2p) = 1/(p - log(1-p))."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0, 1), got {p}")
+    check_p_open(p)
     return 1.0 / (p - math.log1p(-p))
 
 
@@ -97,8 +103,7 @@ def scaling_c_n(n: int, K: int, p: float) -> float:
 def alpha_n(n: int, K: int, p: float) -> float:
     """Exponent approximating log(n * isolation_prob):
     (1 - c_n) log n + K (p + log(1-p))."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0, 1), got {p}")
+    check_p_open(p)
     c = scaling_c_n(n, K, p)
     return (1.0 - c) * math.log(n) + K * (p + math.log1p(-p))
 
@@ -121,8 +126,7 @@ def isolation_prob(n: int, K: int, p: float) -> float:
 def asymptotic_isolation_prob(K: int, p: float) -> float:
     """Large-n limit of isolation_prob at fixed (K, p): (1-p)^K * e^(-pK)."""
     check_int("K", K, 1)
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0, 1), got {p}")
+    check_p_open(p)
     return (1.0 - p) ** K * math.exp(-p * K)
 
 
@@ -138,8 +142,7 @@ def cross_moment_ratio_bound(n: int, K: int, p: float) -> float:
     """Upper bound on E[chi_1 chi_2] / E[chi_1]^2 for the two-node isolation
     indicators: (1/(1-p)) (K/(n-1))^2 + (1 - pK/(n-1))^(-2)."""
     check_nk(n, K)
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0, 1), got {p}")
+    check_p_open(p)
     q = K / (n - 1)
     return q * q / (1.0 - p) + (1.0 - p * q) ** -2
 

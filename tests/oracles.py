@@ -1,6 +1,7 @@
 """Brute-force oracles, independent of the library's formulas: exhaustive
 enumeration over pairings (and channel states where feasible), among them the
-exact probability that the on/off intersection graph is connected, the key rings
+exact probability that the on/off intersection graph is connected (by
+enumeration for n <= 5, and in closed form at K=1 for any n), the key rings
 of a pairing, and a pure-Python sampler of one trial's graph that draws the
 same random numbers in the same order as the array kernel, and the array
 kernel's whole-array form, which draws each trial's pairing and on/off links
@@ -181,6 +182,26 @@ def exact_connected_probability(n, K, p):
                           for s in spanning if s & g == s)
         prob += count / total * reliability
     return prob
+
+
+def k1_connected_probability(n, p):
+    """P(the on/off intersection graph is connected) at K=1, exactly, for any n.
+
+    Each node picks one partner, so the pairing is a map with no fixed point,
+    and its key graph is connected iff the map has one cycle. Of the (n-1)^n
+    pairings, N_k = n!/(n-k)! n^(n-k-1) have one cycle of length k (the k
+    cycle nodes in cyclic order, then a forest rooted at them). A 2-cycle
+    keys one pair for two picks: a tree of n-1 edges, connected iff all are
+    up. A longer cycle gives n edges, connected iff every tree edge and all
+    but at most one of the k cycle edges are up. Counts are taken in log space.
+    """
+    total = 0.0
+    for k in range(2, n + 1):
+        log_share = (math.lgamma(n + 1) - math.lgamma(n - k + 1)
+                     + (n - k - 1) * math.log(n) - n * math.log(n - 1))
+        up = p ** (n - 1) * (1.0 if k == 2 else p + k * (1 - p))
+        total += math.exp(log_share) * up
+    return total
 
 
 def trial(n, K, p, channel, rng):

@@ -31,12 +31,12 @@ def report(num, ok, detail):
 
 @pytest.fixture(scope="module")
 def onoff_table():
-    return mc.sweep(cli.figure_preset("fig2", seed=SEED), workers=2)
+    return mc.sweep(cli._sweep_config(seed=SEED), workers=2)
 
 
 @pytest.fixture(scope="module")
 def disk_table():
-    return mc.sweep(cli.figure_preset("fig4", seed=SEED), workers=2)
+    return mc.sweep(cli._sweep_config(seed=SEED, channel="disk_forced"), workers=2)
 
 
 def test_criterion_1_phase_transition(onoff_table):

@@ -38,14 +38,14 @@ class TestParseGrids:
         assert cli.parse_k_values("1..3,7") == (1, 2, 3, 7)
 
     def test_k_empty_range(self):
-        with pytest.raises(cli._UsageError):
+        with pytest.raises(ValueError):
             cli.parse_k_values("5..3")
 
     def test_p_list(self):
         assert cli.parse_p_values("0.2,0.4") == (0.2, 0.4)
 
     def test_p_bad(self):
-        with pytest.raises(cli._UsageError):
+        with pytest.raises(ValueError):
             cli.parse_p_values("0.2,oops")
 
 
@@ -86,6 +86,28 @@ class TestUsageErrors:
         assert run(command + ["--out", "/nonexistent/dir/x.csv"]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err[-1].startswith("error: ") and "/nonexistent/dir/x.csv" in err[-1]
+
+    @pytest.mark.parametrize("argv,named", [
+        (["dump-instance", "--seed", "-1", "--outdir", "D"], "seed"),
+        (["validate", "--seed", "-3"], "seed"),
+        (["simulate", "--seed", "-1", "--out", "D/x.csv"], "seed"),
+        (["figure", "fig2", "--seed", "-1", "--out", "D/x.csv"], "seed"),
+        (["validate", "--n", "5", "--K", "9"], "K"),
+        (["validate", "--samples", "10"], "samples"),
+        (["dump-instance", "--n", "5", "--K", "5", "--outdir", "D"], "K"),
+        # a figure takes only the options of the command it runs
+        (["figure", "fig-intersection", "--trials", "3", "--outdir", "D"], "--trials"),
+    ])
+    def test_bad_input_is_one_line_before_seed(self, tmp_path, monkeypatch, capsys,
+                                               argv, named):
+        monkeypatch.setattr(mc, "_run_cell", no_work)
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and named in err[0], err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_write_failure_is_one_line(self, tmp_path, capsys):
         # the directory check passes, then opening a directory as the file fails
@@ -345,18 +367,19 @@ class TestDumpInstance:
 
 class TestFigurePresets:
     def test_sweep_presets(self):
-        for name in ("fig2", "fig3"):
-            cfg = cli.figure_preset(name, seed=1)
-            assert cfg.channel == "on_off"
-            assert cfg.n == 200 and cfg.K_grid == tuple(range(1, 26))
-            assert cfg.p_grid == (0.2, 0.4, 0.6, 0.8, 1.0)
-            assert cfg.trials == 500
-        cfg4 = cli.figure_preset("fig4", seed=1)
-        assert cfg4.channel == "disk_forced"
+        assert cli.FIGURES["fig2"] == cli.FIGURES["fig3"] == ["simulate"]
+        assert cli.FIGURES["fig4"] == ["simulate", "--channel", "disk_forced"]
+        cfg = cli._sweep_config()
+        assert cfg.channel == "on_off"
+        assert cfg.n == 200 and cfg.K_grid == tuple(range(1, 26))
+        assert cfg.p_grid == (0.2, 0.4, 0.6, 0.8, 1.0)
+        assert cfg.trials == 500 and cfg.seed == 0
 
     def test_intersection_preset(self):
-        plan = cli.figure_preset("fig-intersection", seed=2)
-        assert (plan["n"], plan["K"], plan["p"]) == (50, 5, 0.2)
+        assert cli.FIGURES["fig-intersection"] == ["dump-instance"]
+        assert cli._INSTANCE_DEFAULTS == {"n": 50, "K": 5, "p": 0.2}
+        args = cli._build_parser().parse_args(["dump-instance", "--outdir", "d"])
+        assert (args.n, args.K, args.p) == (50, 5, 0.2)
 
     def test_figure_intersection_end_to_end(self, tmp_path):
         outdir = tmp_path / "fig"
@@ -405,5 +428,9 @@ def test_readme_commands_parse():
     commands = readme_commands()
     assert {argv[0] for argv in commands} == {
         "simulate", "theory", "validate", "figure", "dump-instance"}
+    parser = cli._build_parser()
     for argv in commands:
-        cli._build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
+        if args.command == "figure":
+            # the arguments after the name are those of the command it runs
+            parser.parse_args(cli.FIGURES[args.name] + args.args)

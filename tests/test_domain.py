@@ -88,3 +88,21 @@ def test_allow_large_rho_is_gone(tmp_path, capsys):
                  "on_off", "--allow-large-rho", "--out", tmp_path / "x.csv")
     assert "--allow-large-rho" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+# entry point -> call with seed -1, every other input in the domain
+NEGATIVE_SEED = {
+    "validate_bounds": lambda out: mc.validate_bounds(5, 2, 0.5, samples=1000, seed=-1),
+    "estimate_edge_prob": lambda out: mc.estimate_edge_prob(10, 3, 0.5, trials=100,
+                                                            seed=-1),
+    "dump_instance": lambda out: cli.dump_instance(10, 3, 0.5, seed=-1,
+                                                   outdir=str(out / "d")),
+    "_effective_seed": lambda out: cli._effective_seed(-1),
+}
+
+
+@pytest.mark.parametrize("entry", NEGATIVE_SEED)
+def test_negative_seed_rejected(entry, tmp_path):
+    with pytest.raises(ValueError, match="seed"):
+        NEGATIVE_SEED[entry](tmp_path)
+    assert list(tmp_path.iterdir()) == []

@@ -182,6 +182,19 @@ class TestExactConnectivity:
         sigma = math.sqrt(exact * (1 - exact) / r.trials)
         assert abs(r.prob_connected - exact) <= 3 * sigma
 
+    @pytest.mark.parametrize("n,p", [(3, 0.5), (4, 0.5), (5, 0.7), (5, 0.3), (5, 1.0)])
+    def test_k1_oracle_matches_enumeration(self, n, p):
+        assert oracles.k1_connected_probability(n, p) == pytest.approx(
+            oracles.exact_connected_probability(n, 1, p), rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("n,p,exact", [(200, 1.0, 0.22344), (30, 0.95, 0.13897)])
+    def test_k1_sweep_matches_oracle(self, n, p, exact):
+        # K=1 at n beyond enumeration: 4000 trials at 3 sigma
+        assert oracles.k1_connected_probability(n, p) == pytest.approx(exact, abs=5e-6)
+        cfg = mc.ExperimentConfig(n=n, K_grid=(1,), p_grid=(p,), trials=4000, seed=SEED)
+        r = mc.sweep(cfg).rows[0]
+        assert abs(r.prob_connected - exact) <= 3 * math.sqrt(exact * (1 - exact) / r.trials)
+
     def test_oracle_complete_key_graph(self):
         # K = n-1 keys every pair; a triangle stays connected with 3p^2 - 2p^3
         for p in (0.2, 0.5, 0.9):

@@ -101,6 +101,22 @@ class TestTauHat:
                 th.tau_hat(bad)
 
 
+OPEN_P = {
+    "tau_hat": th.tau_hat,
+    "alpha_n": lambda p: th.alpha_n(100, 5, p),
+    "asymptotic_isolation_prob": lambda p: th.asymptotic_isolation_prob(5, p),
+    "cross_moment_ratio_bound": lambda p: th.cross_moment_ratio_bound(100, 5, p),
+}
+
+
+@pytest.mark.parametrize("p", [0, 1, 1.5, True, "0.3"])
+@pytest.mark.parametrize("name", OPEN_P)
+def test_open_interval_p_rejected(name, p):
+    # the forms with log(1-p) or 1/(1-p) take p in (0, 1) only, as a real number
+    with pytest.raises(ValueError, match="p must be"):
+        OPEN_P[name](p)
+
+
 class TestScalingCn:
     def test_algebraic_inverse(self):
         n, K = 100, 5
