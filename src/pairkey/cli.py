@@ -120,11 +120,11 @@ def write_outputs(obj, path: str, fmt: str) -> None:
 
 
 def _check_out(path: str) -> None:
-    """Fail before any work when the directory of output file `path` is
-    missing or not writable."""
+    """Fail before any work unless `path` names a file, not a directory, in a
+    writable directory."""
     folder = Path(path).parent
-    if not (folder.is_dir() and os.access(folder, os.W_OK)):
-        raise ValueError(f"cannot write {path}: {folder} is not a writable directory")
+    if Path(path).is_dir() or not (folder.is_dir() and os.access(folder, os.W_OK)):
+        raise ValueError(f"cannot write {path}: not a file in a writable directory")
 
 
 def _sweep_config(**values) -> mc.ExperimentConfig:

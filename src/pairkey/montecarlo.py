@@ -69,13 +69,14 @@ class ExperimentConfig:
 
     def __post_init__(self):
         K_grid, p_grid = tuple(self.K_grid), tuple(self.p_grid)
-        if not K_grid or not p_grid:
-            raise ValueError("K_grid and p_grid must be non-empty")
         for k in K_grid:
             check_nk(self.n, k)
         for p in p_grid:
             check_p(p)
             check_channel(self.channel, p)
+        for name, grid in (("K_grid", K_grid), ("p_grid", p_grid)):
+            if not grid or len(set(grid)) < len(grid):
+                raise ValueError(f"{name} must be non-empty, without repeats, got {grid}")
         check_int("trials", self.trials, 1)
         check_int("seed", self.seed, 0)
         object.__setattr__(self, "K_grid", tuple(map(int, K_grid)))
@@ -163,8 +164,8 @@ def run_trial(n: int, K: int, p: float, channel: str, trial_seed) -> TrialOutcom
     return TrialOutcome(connected=connected, isolated_count=iso, edge_count=int(a.size))
 
 
-def _binomial_stderr(count: int, trials: int) -> float:
-    q = count / trials
+def _binomial_stderr(q: float, trials: int) -> float:
+    """Standard error of a rate q observed over `trials` Bernoulli trials."""
     return math.sqrt(q * (1.0 - q) / trials)
 
 
@@ -180,7 +181,6 @@ class CellEstimate:
     count_connected: int
     count_no_isolated: int
     seed: int
-    notes: tuple[str, ...] = ()
 
     @property
     def prob_connected(self) -> float:
@@ -188,7 +188,7 @@ class CellEstimate:
 
     @property
     def stderr_connected(self) -> float:
-        return _binomial_stderr(self.count_connected, self.trials)
+        return _binomial_stderr(self.prob_connected, self.trials)
 
     @property
     def prob_no_isolated(self) -> float:
@@ -196,7 +196,17 @@ class CellEstimate:
 
     @property
     def stderr_no_isolated(self) -> float:
-        return _binomial_stderr(self.count_no_isolated, self.trials)
+        return _binomial_stderr(self.prob_no_isolated, self.trials)
+
+    @property
+    def notes(self) -> tuple[str, ...]:
+        """A rule-of-three note for each estimate that is 0 or 1."""
+        return tuple(
+            f"{name} estimate at boundary; rule-of-three upper bound "
+            f"{3.0 / self.trials:.3g}"
+            for name, count in (("connected", self.count_connected),
+                                ("no_isolated", self.count_no_isolated))
+            if count in (0, self.trials))
 
 
 CSV_COLUMNS = (
@@ -205,10 +215,6 @@ CSV_COLUMNS = (
     "count_no_isolated", "prob_no_isolated", "stderr_no_isolated",
     "seed",
 )
-
-
-def _fmt_prob(x: float) -> str:
-    return format(x, ".6g")
 
 
 @dataclass(frozen=True)
@@ -232,16 +238,11 @@ class EstimateTable:
         return sorted(out, key=lambda r: r.K)
 
     def to_csv_text(self) -> str:
+        """CSV_COLUMNS of each row: floats to 6 significant digits."""
+        def cell(value) -> str:
+            return format(value, ".6g") if isinstance(value, float) else str(value)
         lines = [",".join(CSV_COLUMNS)]
-        for r in self.rows:
-            lines.append(",".join([
-                r.channel, str(r.n), str(r.K), _fmt_prob(r.p), str(r.trials),
-                str(r.count_connected), _fmt_prob(r.prob_connected),
-                _fmt_prob(r.stderr_connected),
-                str(r.count_no_isolated), _fmt_prob(r.prob_no_isolated),
-                _fmt_prob(r.stderr_no_isolated),
-                str(r.seed),
-            ]))
+        lines += [",".join(cell(getattr(r, c)) for c in CSV_COLUMNS) for r in self.rows]
         return "\n".join(lines) + "\n"
 
     def to_json_obj(self) -> list[dict]:
@@ -249,9 +250,9 @@ class EstimateTable:
 
     @classmethod
     def from_json_obj(cls, obj: list[dict]) -> "EstimateTable":
-        rows = tuple(CellEstimate(**(d | {"notes": tuple(d.get("notes", ()))}))
-                     for d in obj)
-        return cls(rows=rows)
+        """Rows from to_json_obj; a `notes` key is ignored (notes are derived)."""
+        return cls(rows=tuple(CellEstimate(**{k: v for k, v in d.items() if k != "notes"})
+                              for d in obj))
 
 
 def _run_cell(args) -> tuple[int, int, int, int]:
@@ -289,37 +290,21 @@ def sweep(config: ExperimentConfig, workers: int = 1) -> EstimateTable:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_cell, jobs, chunksize=1))
 
-    rows = []
-    for ki, pi, conn, noiso in results:
-        notes = []
-        for name, count in (("connected", conn), ("no_isolated", noiso)):
-            if count in (0, config.trials):
-                notes.append(
-                    f"{name} estimate at boundary; rule-of-three upper bound "
-                    f"{3.0 / config.trials:.3g}"
-                )
-        rows.append(CellEstimate(
-            channel=config.channel, n=config.n, K=config.K_grid[ki],
-            p=config.p_grid[pi], trials=config.trials,
-            count_connected=conn, count_no_isolated=noiso,
-            seed=config.seed, notes=tuple(notes),
-        ))
-    return EstimateTable(rows=tuple(rows))
+    return EstimateTable(rows=tuple(
+        CellEstimate(channel=config.channel, n=config.n, K=config.K_grid[ki],
+                     p=config.p_grid[pi], trials=config.trials,
+                     count_connected=conn, count_no_isolated=noiso, seed=config.seed)
+        for ki, pi, conn, noiso in results))
 
 
 def find_crossover(table: EstimateTable, p: float, level: float = 0.5,
-                   channel: Optional[str] = None,
-                   prop: str = "connected") -> Optional[int]:
-    """Smallest K in the sweep whose empirical probability reaches `level`;
-    None if never reached."""
+                   channel: Optional[str] = None) -> Optional[int]:
+    """Smallest K in the sweep whose P(connected) reaches `level`; None if
+    never reached."""
     column = table.column(p, channel=channel)
     if not column:
         raise KeyError(f"table has no cells at p={p}")
-    for r in column:
-        q = r.prob_connected if prop == "connected" else r.prob_no_isolated
-        if q >= level:
-            return r.K
-    return None
+    return next((r.K for r in column if r.prob_connected >= level), None)
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +336,7 @@ def estimate_edge_prob(n: int, K: int, p: float, trials: int,
         b = rng.random(t) < p
         hits += int(np.count_nonzero((in_g1 | in_g2) & b))
         done += t
-    q = hits / trials
-    return q, math.sqrt(q * (1.0 - q) / trials)
+    return hits / trials, _binomial_stderr(hits / trials, trials)
 
 
 @dataclass(frozen=True)
@@ -377,25 +361,21 @@ class ValidationReport:
 
     @property
     def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks if c.status == "checked")
+        # a skipped check is built with passed=True
+        return all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n, "K": self.K, "p": self.p,
-            "samples": self.samples, "seed": self.seed,
-            "all_passed": self.all_passed,
-            "checks": [asdict(c) for c in self.checks],
-        }
+        return asdict(self) | {"all_passed": self.all_passed}
 
 
-def _two_sided(name, emp, ref, sigma) -> BoundCheck:
+def _check(name, emp, ref, sigma, kind) -> BoundCheck:
+    """emp within 3 sigma of ref ("two_sided") or at most ref + 3 sigma
+    ("upper"), with rounding slack for an estimate that equals ref but is
+    computed by another formula (sigma = 0 at K = n-1)."""
+    tol = 3.0 * sigma + 1e-12 * max(1.0, abs(ref))
+    passed = abs(emp - ref) <= tol if kind == "two_sided" else emp <= ref + tol
     return BoundCheck(name=name, empirical=emp, reference=ref, sigma=sigma,
-                      kind="two_sided", passed=abs(emp - ref) <= 3.0 * sigma)
-
-
-def _upper(name, emp, bound, sigma) -> BoundCheck:
-    return BoundCheck(name=name, empirical=emp, reference=bound, sigma=sigma,
-                      kind="upper", passed=emp <= bound + 3.0 * sigma)
+                      kind=kind, passed=passed)
 
 
 def validate_bounds(n: int, K: int, p: float, samples: int,
@@ -475,62 +455,47 @@ def validate_bounds(n: int, K: int, p: float, samples: int,
     T = samples
     checks: list[BoundCheck] = []
 
-    q_edge = theory.edge_prob(n, K, p)
-    checks.append(_two_sided("edge_prob", s_edge / T, q_edge,
-                             math.sqrt(q_edge * (1 - q_edge) / T)))
-
-    q_pair = K / (n - 1)
-    checks.append(_two_sided("pairing_prob", s_pair / T, q_pair,
-                             math.sqrt(q_pair * (1 - q_pair) / T)))
-
-    q_iso = theory.isolation_prob(n, K, p)
-    checks.append(_two_sided("isolation_prob", s_chi1 / T, q_iso,
-                             math.sqrt(q_iso * (1 - q_iso) / T)))
+    for name, count, q in (("edge_prob", s_edge, theory.edge_prob(n, K, p)),
+                           ("pairing_prob", s_pair, K / (n - 1)),
+                           ("isolation_prob", s_chi1, theory.isolation_prob(n, K, p))):
+        checks.append(_check(name, count / T, q, _binomial_stderr(q, T), "two_sided"))
 
     b_hat = s_b / T
     b_var = max(s_b2 / T - b_hat * b_hat, 0.0)
     u_sq = theory.u_n(n, K, p) ** 2
-    checks.append(_upper("b_leq_u_squared", b_hat, u_sq, math.sqrt(b_var / T)))
+    checks.append(_check("b_leq_u_squared", b_hat, u_sq, math.sqrt(b_var / T), "upper"))
 
-    if p < 1.0:
-        a_hat = s_chi12 / T
-        c_hat = s_chi1 / T
-        bound = theory.cross_moment_ratio_bound(n, K, p)
-        if c_hat > 0.0:
-            ratio = a_hat / (c_hat * c_hat)
-            sig_a = math.sqrt(a_hat * (1 - a_hat) / T)
-            sig_c = math.sqrt(c_hat * (1 - c_hat) / T)
-            rel = math.sqrt((sig_a / a_hat) ** 2 + (2 * sig_c / c_hat) ** 2) \
-                if a_hat > 0 else 0.0
-            checks.append(_upper("cross_moment_ratio", ratio, bound,
-                                 ratio * rel))
-        else:
-            checks.append(BoundCheck(
-                name="cross_moment_ratio", empirical=float("nan"),
-                reference=bound, sigma=float("nan"), kind="upper",
-                passed=True, status="skipped: no isolation events observed"))
-    else:
+    bound = theory.cross_moment_ratio_bound(n, K, p) if p < 1.0 else float("nan")
+    skip = ("undefined at p=1" if p == 1.0
+            else "no isolation events observed" if s_chi1 == 0 else None)
+    if skip:
         checks.append(BoundCheck(
-            name="cross_moment_ratio", empirical=float("nan"),
-            reference=float("nan"), sigma=float("nan"), kind="upper",
-            passed=True, status="skipped: undefined at p=1"))
+            name="cross_moment_ratio", empirical=float("nan"), reference=bound,
+            sigma=float("nan"), kind="upper", passed=True, status=f"skipped: {skip}"))
+    else:
+        a_hat, c_hat = s_chi12 / T, s_chi1 / T
+        ratio = a_hat / (c_hat * c_hat)
+        sig_a, sig_c = _binomial_stderr(a_hat, T), _binomial_stderr(c_hat, T)
+        rel = math.sqrt((sig_a / a_hat) ** 2 + (2 * sig_c / c_hat) ** 2) \
+            if a_hat > 0 else 0.0
+        checks.append(_check("cross_moment_ratio", ratio, bound, ratio * rel, "upper"))
 
     e_hat = s_e / T
     e_var = max(s_e2 / T - e_hat * e_hat, 0.0)
-    checks.append(_two_sided("estar_mean", e_hat, e_mean,
-                             math.sqrt(e_var / T) if e_var > 0 else 1.0 / T))
+    checks.append(_check("estar_mean", e_hat, e_mean,
+                         math.sqrt(e_var / T) if e_var > 0 else 1.0 / T, "two_sided"))
 
     tail_hat = s_tail / T
     tail_bound = theory.estar_chernoff(n, r, K, TAIL_T)
-    checks.append(_upper("estar_tail", tail_hat, tail_bound,
-                         math.sqrt(max(tail_hat * (1 - tail_hat), 1.0 / T) / T)))
+    checks.append(_check("estar_tail", tail_hat, tail_bound,
+                         math.sqrt(max(tail_hat * (1 - tail_hat), 1.0 / T) / T), "upper"))
 
     mx, my = s_x / T, s_y / T
     cov = s_xy / T - mx * my
     # stderr of the covariance of two Bernoulli indicators, delta method
     var_cov = (s_xy / T) * (1 - s_xy / T) / T \
         + (my ** 2) * mx * (1 - mx) / T + (mx ** 2) * my * (1 - my) / T
-    checks.append(_upper("edge_covariance", cov, 0.0, math.sqrt(var_cov)))
+    checks.append(_check("edge_covariance", cov, 0.0, math.sqrt(var_cov), "upper"))
 
     return ValidationReport(n=n, K=K, p=p, samples=samples, seed=seed,
                             checks=tuple(checks))

@@ -34,9 +34,14 @@ def check_nk(n: int, K: int) -> None:
         raise ValueError(f"require 1 <= K < n, got K={K}, n={n}")
 
 
+def check_real(name: str, value) -> None:
+    """A real number; a bool or a string is rejected. Callers check the range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 def check_p(p: float) -> None:
-    if isinstance(p, bool) or not isinstance(p, numbers.Real):
-        raise ValueError(f"p must be a real number, got {p!r}")
+    check_real("p", p)
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must be in (0, 1], got {p}")
 
@@ -76,6 +81,7 @@ def edge_prob(n: int, K: int, p: float) -> float:
 def tau(p: float) -> float:
     """Connectivity threshold constant for the scaling
     p*(2K - K^2/(n-1)) ~ c log n; continuous on [0, 1], 1 at p=0, 0 at p=1."""
+    check_real("p", p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
     if p == 0.0:
@@ -110,6 +116,7 @@ def alpha_n(n: int, K: int, p: float) -> float:
 
 def psi(x: float) -> float:
     """Remainder in log(1-x) = -x - psi(x); nonnegative, psi(x)/x^2 -> 1/2."""
+    check_real("x", x)
     if not 0.0 <= x < 1.0:
         raise ValueError(f"x must be in [0, 1), got {x}")
     return -x - math.log1p(-x)
@@ -150,15 +157,17 @@ def cross_moment_ratio_bound(n: int, K: int, p: float) -> float:
 def estar_mean(n: int, r: int, K: int) -> float:
     """Mean of the count of picks from outside nodes into {1..r}:
     r (n-r) K / (n-1)."""
+    check_nk(n, K)
+    check_int("r", r)
     if not 2 <= r <= n - 1:
         raise ValueError(f"require 2 <= r <= n-1, got r={r}, n={n}")
-    check_nk(n, K)
     return r * (n - r) * K / (n - 1)
 
 
 def estar_chernoff(n: int, r: int, K: int, t: float) -> float:
     """Chernoff-Hoeffding tail bound on the same count falling below
     (1-t) of its mean: exp(-(t^2/2) * r K (n-r)/(n-1))."""
+    check_real("t", t)
     if not 0.0 < t < 1.0:
         raise ValueError(f"t must be in (0, 1), got {t}")
     return math.exp(-0.5 * t * t * estar_mean(n, r, K))
@@ -167,9 +176,11 @@ def estar_chernoff(n: int, r: int, K: int, t: float) -> float:
 def connected_subset_bound(n: int, r: int, K: int, p: float) -> float:
     """Union-over-spanning-trees bound on the probability that r given nodes
     induce a connected subgraph: r^(r-2) * (p lambda_n)^(r-1). May exceed 1."""
+    q = edge_prob(n, K, p)
+    check_int("r", r)
     if not 2 <= r <= n:
         raise ValueError(f"require 2 <= r <= n, got r={r}, n={n}")
-    return r ** (r - 2) * edge_prob(n, K, p) ** (r - 1)
+    return r ** (r - 2) * q ** (r - 1)
 
 
 def predicted_threshold_K(n: int, p: float) -> float:
@@ -200,6 +211,8 @@ class TheoryReport:
 
 
 def theory_report(n: int, K: int, p: float) -> TheoryReport:
+    check_nk(n, K)
+    check_p(p)
     interior = 0.0 < p < 1.0
     return TheoryReport(
         n=n,

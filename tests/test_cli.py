@@ -80,12 +80,16 @@ class TestUsageErrors:
         ["figure", "fig2", "--trials", "1", "--seed", "1", "--workers", "1"],
         ["validate", "--samples", "1000", "--seed", "1"],
     ])
-    def test_unwritable_out_fails_before_any_work(self, command, monkeypatch, capsys):
+    def test_unwritable_out_fails_before_any_work(self, command, tmp_path, monkeypatch,
+                                                  capsys):
         monkeypatch.setattr(mc, "_run_cell", no_work)
         monkeypatch.setattr(mc, "validate_bounds", no_work)
-        assert run(command + ["--out", "/nonexistent/dir/x.csv"]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert err[-1].startswith("error: ") and "/nonexistent/dir/x.csv" in err[-1]
+        # a missing directory, and a directory named as the file
+        for out in ("/nonexistent/dir/x.csv", str(tmp_path)):
+            assert run(command + ["--out", out]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ") and out in err[0], err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv,named", [
         (["dump-instance", "--seed", "-1", "--outdir", "D"], "seed"),
@@ -97,6 +101,9 @@ class TestUsageErrors:
         (["dump-instance", "--n", "5", "--K", "5", "--outdir", "D"], "K"),
         # a figure takes only the options of the command it runs
         (["figure", "fig-intersection", "--trials", "3", "--outdir", "D"], "--trials"),
+        # a repeated grid value would run as two cells with their own streams
+        (["simulate", "--K", "1,1,2", "--out", "x.csv"], "K_grid"),
+        (["simulate", "--K", "1", "--p", "0.5,0.5", "--out", "x.csv"], "p_grid"),
     ])
     def test_bad_input_is_one_line_before_seed(self, tmp_path, monkeypatch, capsys,
                                                argv, named):
@@ -109,10 +116,14 @@ class TestUsageErrors:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
-    def test_write_failure_is_one_line(self, tmp_path, capsys):
-        # the directory check passes, then opening a directory as the file fails
+    def test_write_failure_is_one_line(self, tmp_path, monkeypatch, capsys):
+        # the checks pass, then opening the file fails
+        def no_space(path, *args, **kwargs):
+            raise OSError(f"[Errno 28] No space left on device: {str(path)!r}")
+
+        monkeypatch.setattr(cli, "open", no_space, raising=False)
         rc = run(["simulate", "--n", "10", "--K", "2", "--p", "0.5", "--trials", "1",
-                  "--seed", "1", "--workers", "1", "--out", str(tmp_path)])
+                  "--seed", "1", "--workers", "1", "--out", str(tmp_path / "x.csv")])
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert err[-1].startswith("error: ") and str(tmp_path) in err[-1]

@@ -9,7 +9,9 @@ from pairkey import montecarlo as mc
 from pairkey.channels import match_rho
 from pairkey.scheme import sample_gamma_matrix
 
-# (rule broken, n, K, p, channel); each is in the domain but for that rule
+# (rule broken, n, K, p, channel); each is in the domain but for that rule.
+# A grid entry point runs K grid (1, K) and p grid (0.2, p), so K=1 or p=0.2
+# repeats a grid value.
 BAD = {
     "K=0": ("nk", 10, 0, 0.5, "on_off"),
     "K=n": ("nk", 10, 10, 0.5, "on_off"),
@@ -21,6 +23,8 @@ BAD = {
     "p=nan": ("p", 10, 3, float("nan"), "on_off"),
     "channel": ("channel", 10, 3, 0.5, "wifi"),
     "disk range": ("channel", 10, 3, 0.9, "disk"),
+    "repeated K": ("grid", 10, 1, 0.5, "on_off"),
+    "repeated p": ("grid", 10, 3, 0.2, "on_off"),
 }
 
 
@@ -38,7 +42,7 @@ def simulate(out, n, K, p, channel):
 
 # entry point -> (rules it checks, call(tmp_path, n, K, p, channel))
 ENTRY_POINTS = {
-    "ExperimentConfig": ("nk p channel", lambda out, n, K, p, c: mc.ExperimentConfig(
+    "ExperimentConfig": ("nk p channel grid", lambda out, n, K, p, c: mc.ExperimentConfig(
         n=n, K_grid=(1, K), p_grid=(0.2, p), trials=1, seed=1, channel=c)),
     "run_trial": ("nk p channel", lambda out, n, K, p, c: mc.run_trial(n, K, p, c, 0)),
     "match_rho": ("p channel", lambda out, n, K, p, c: match_rho(p, c)),
@@ -56,7 +60,7 @@ ENTRY_POINTS = {
     "u_n": ("nk p", lambda out, n, K, p, c: theory.u_n(n, K, p)),
     "scaling_c_n": ("nk p", lambda out, n, K, p, c: theory.scaling_c_n(n, K, p)),
     "theory_report": ("nk p", lambda out, n, K, p, c: theory.theory_report(n, K, p)),
-    "cli simulate": ("nk p channel", simulate),
+    "cli simulate": ("nk p channel grid", simulate),
     "cli validate": ("nk p", lambda out, n, K, p, c: cli_exit(
         "validate", "--n", n, "--K", K, "--p", p, "--samples", 1000, "--seed", 1)),
     "cli theory": ("nk p", lambda out, n, K, p, c: cli_exit(

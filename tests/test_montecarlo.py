@@ -330,6 +330,22 @@ class TestValidateBounds:
         with pytest.raises(ValueError):
             mc.validate_bounds(5, 2, 0.5, samples=500)
 
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_exact_checks_pass_at_k_n_minus_1(self, n):
+        # at K = n-1 these estimates equal their references exactly (sigma = 0),
+        # but by another formula: rounding alone must not fail them
+        for p in (0.01, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0):
+            report = mc.validate_bounds(n, n - 1, p, samples=1000, seed=SEED)
+            for c in report.checks:
+                if c.name in ("pairing_prob", "b_leq_u_squared", "edge_covariance"):
+                    assert c.passed, (n, p, c)
+
+    @pytest.mark.parametrize("kind", ["two_sided", "upper"])
+    def test_rounding_slack_is_no_wider(self, kind):
+        assert mc._check("x", 0.49 + 1e-15, 0.49, 0.0, kind).passed
+        assert not mc._check("x", 0.49 + 1e-6, 0.49, 0.0, kind).passed
+        assert not mc._check("x", 1e6 * (1 + 1e-9), 1e6, 0.0, kind).passed
+
     def test_n3_isolation(self):
         report = mc.validate_bounds(3, 1, 0.5, samples=20_000, seed=6)
         iso = next(c for c in report.checks if c.name == "isolation_prob")

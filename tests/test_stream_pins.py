@@ -5,6 +5,7 @@ to how random numbers are drawn must update them, and say so in CHANGES.md.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -39,6 +40,48 @@ EDGE_PROB = {
     (200, 12, 0.2, 20000, 1): (0.02375, 0.001076706494361393),
     (5, 2, 0.5, 20000, 3): (0.36885, 0.0034117420586849763),
 }
+
+
+# simulate --format json on an on/off sweep with 12 boundary notes
+SIMULATE_JSON = (["--n", "20", "--K", "1,2,3,6", "--p", "0.3,1.0", "--trials", "40",
+                  "--seed", "5", "--workers", "1"],
+                 "a4d2ec0842262311b9eb92f4235da77a181a0d0006ae0784a57f2bccfa08bff1")
+
+# (n, K, p, samples, seed) -> sha256 of `validate --out`; both skip reasons
+VALIDATE_JSON = {
+    (5, 2, 1.0, 5000, 1): "b713e13fd5b8f35b0ea72e88e60b9d64e75b598d21dab6f514f6ec1372c7a85a",
+    (12, 11, 0.5, 2000, 4): "cd354d15248ef77e71f5bd76edf604f61791f599e12456798eca88a0b170e1e4",
+}
+
+
+def sha256_file(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_simulate_json_digest(tmp_path):
+    argv, digest = SIMULATE_JSON
+    out = tmp_path / "t.json"
+    assert cli.main(["simulate", *argv, "--format", "json", "--out", str(out)]) == 0
+    assert sum(len(row["notes"]) for row in json.loads(out.read_text())) == 12
+    assert sha256_file(out) == digest
+
+
+@pytest.mark.parametrize("args", sorted(VALIDATE_JSON))
+def test_validate_json_digest(args, tmp_path):
+    out = tmp_path / "v.json"
+    argv = [f"--{k}={v}" for k, v in zip(("n", "K", "p", "samples", "seed"), args)]
+    assert cli.main(["validate", *argv, "--out", str(out)]) == 0
+    assert sha256_file(out) == VALIDATE_JSON[args]
+
+
+def test_json_notes_are_derived_from_counts():
+    cfg = mc.ExperimentConfig(n=20, K_grid=(1, 19), p_grid=(1.0,), trials=10, seed=SEED)
+    table = mc.sweep(cfg, workers=1)
+    stale = [row | {"notes": ["stale"]} for row in table.to_json_obj()]
+    loaded = mc.EstimateTable.from_json_obj(stale)
+    assert loaded == table
+    assert loaded.to_json_obj() == table.to_json_obj()
+    assert all("rule-of-three" in note for row in loaded.rows for note in row.notes)
 
 
 @pytest.mark.parametrize("channel", sorted(SWEEP_DIGESTS))

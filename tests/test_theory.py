@@ -117,6 +117,25 @@ def test_open_interval_p_rejected(name, p):
         OPEN_P[name](p)
 
 
+# each call passes every check but one real-number or integer rule
+NOT_REAL = {
+    "theory_report p='0.3'": lambda: th.theory_report(100, 5, "0.3"),
+    "tau p=True": lambda: th.tau(True),
+    "tau p='0.3'": lambda: th.tau("0.3"),
+    "psi x=False": lambda: th.psi(False),
+    "psi x='0.3'": lambda: th.psi("0.3"),
+    "estar_chernoff t='0.5'": lambda: th.estar_chernoff(5, 2, 2, "0.5"),
+    "estar_mean r=2.5": lambda: th.estar_mean(5, 2.5, 2),
+    "connected_subset_bound r=2.5": lambda: th.connected_subset_bound(5, 2.5, 2, 0.5),
+}
+
+
+@pytest.mark.parametrize("case", NOT_REAL)
+def test_number_type_rejected(case):
+    with pytest.raises(ValueError, match="must be a real number|must be an integer"):
+        NOT_REAL[case]()
+
+
 class TestScalingCn:
     def test_algebraic_inverse(self):
         n, K = 100, 5
