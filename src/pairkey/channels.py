@@ -14,10 +14,19 @@ from .theory import check_channel, check_p
 
 def toroidal_distance_matrix(points: np.ndarray) -> np.ndarray:
     """All-pairs Euclidean distances on the unit torus (per-axis wrap) for an
-    (n, 2) point array; each is at most sqrt(2)/2."""
-    d = np.abs(points[:, None, :] - points[None, :, :])
-    d = np.minimum(d, 1.0 - d)
-    return np.sqrt((d * d).sum(axis=2))
+    (n, 2) point array; each is at most sqrt(2)/2.
+
+    One axis at a time, on n x n arrays updated in place: the squared wrapped
+    differences of the two axes are added once, as a sum over an (n, n, 2)
+    array would add them, so the result is bitwise the same."""
+    total = 0.0
+    for x in points.T:
+        d = np.abs(x[:, None] - x)
+        np.minimum(d, 1.0 - d, out=d)
+        d *= d
+        d += total
+        total = d
+    return np.sqrt(total, out=total)
 
 
 def match_rho(p: float, channel: str = "disk") -> float:

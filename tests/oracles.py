@@ -5,8 +5,8 @@ enumeration for n <= 5, and in closed form at K=1 for any n), the key rings
 of a pairing, and a pure-Python sampler of one trial's graph that draws the
 same random numbers in the same order as the array kernel, and the array
 kernel's whole-array form, which draws each trial's pairing and on/off links
-in one piece. Also two stand-in generators that script or record the
-kernel's draws."""
+in one piece, and the torus distance matrix summed over a stacked axis. Also
+two stand-in generators that script or record the kernel's draws."""
 
 import math
 from collections import Counter, deque
@@ -98,6 +98,15 @@ def toroidal_distance(a, b):
     """Euclidean distance on the unit torus (per-axis wrap); at most sqrt(2)/2."""
     dx, dy = (min(abs(x - y), 1.0 - abs(x - y)) for x, y in zip(a, b))
     return math.hypot(dx, dy)
+
+
+def stacked_toroidal_distance_matrix(points):
+    """All-pairs torus distances through one (n, n, 2) array of wrapped
+    differences, summed over its last axis: the form the library's per-axis
+    matrix must equal bitwise."""
+    d = np.abs(points[:, None, :] - points[None, :, :])
+    d = np.minimum(d, 1.0 - d)
+    return np.sqrt((d * d).sum(axis=2))
 
 
 def partner_sets(u, K):

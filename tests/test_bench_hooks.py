@@ -51,3 +51,18 @@ def test_benchmark_output_checks_pass(name, monkeypatch):
     else:
         measure.check_validate(checks, *measure.validate_once(params, 1))
     assert checks.attempted > 0 and checks.failures == []
+
+
+def test_traced_disk_sweep_sees_every_layer():
+    # the traced benchmark run is one process: one `cell` span per cell, and
+    # the all-pairs distance matrix once per trial
+    tracing = load_tracing()
+    cfg = mc.ExperimentConfig(n=20, K_grid=(1, 3), p_grid=(0.5, 1.0), trials=3,
+                              seed=1, channel="disk_forced")
+    tracer = tracing.Tracer()
+    with tracer.installed(mc):
+        mc.sweep(cfg, workers=1)
+    m = tracing.layer_metrics(tracer)
+    assert tracer.absent == []
+    assert m["channels.distance.calls"] == m["trial.calls"] == 4 * cfg.trials
+    assert m["sweep.cells"] == 4

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from pairkey import montecarlo as mc
 from pairkey.channels import match_rho, toroidal_distance_matrix
 
-from oracles import RecordingRng, ScriptedRng, toroidal_distance
+from oracles import (RecordingRng, ScriptedRng, stacked_toroidal_distance_matrix,
+                     toroidal_distance)
 
 coord = st.floats(min_value=0.0, max_value=1.0, exclude_max=True,
                   allow_nan=False)
@@ -126,6 +127,17 @@ class TestToroidalDistance:
             for j in range(8):
                 assert d[i, j] == pytest.approx(
                     toroidal_distance(pts[i], pts[j]), abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 200])
+    def test_bitwise_equal_to_stacked_form(self, n):
+        # coordinates at 0, 0.5 and the largest float below 1 among random ones
+        edge = [0.0, 0.5, 1.0 - 2.0 ** -53]
+        pts = rng(n).random((n, 2))
+        pts.ravel()[:6] = (edge * 2)[:pts.size]
+        got = toroidal_distance_matrix(pts)
+        want = stacked_toroidal_distance_matrix(pts)
+        assert got.shape == want.shape == (n, n)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestMatchRho:

@@ -104,6 +104,8 @@ class TestUsageErrors:
         # a repeated grid value would run as two cells with their own streams
         (["simulate", "--K", "1,1,2", "--out", "x.csv"], "K_grid"),
         (["simulate", "--K", "1", "--p", "0.5,0.5", "--out", "x.csv"], "p_grid"),
+        (["simulate", "--K", "1", "--p", "0.3,0.300000000001", "--out", "x.csv"],
+         "p_grid"),
     ])
     def test_bad_input_is_one_line_before_seed(self, tmp_path, monkeypatch, capsys,
                                                argv, named):

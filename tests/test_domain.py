@@ -25,6 +25,8 @@ BAD = {
     "disk range": ("channel", 10, 3, 0.9, "disk"),
     "repeated K": ("grid", 10, 1, 0.5, "on_off"),
     "repeated p": ("grid", 10, 3, 0.2, "on_off"),
+    # cells are found by p within math.isclose, so this is a repeat too
+    "near-repeated p": ("grid", 10, 3, 0.2 + 1e-12, "on_off"),
 }
 
 

@@ -177,6 +177,8 @@ class TestConnectivity:
 class TestComponents:
     def test_empty(self):
         assert components(3, *arrays([])) == 3
+        count, labels = components(3, *arrays([]), return_labels=True)
+        assert count == 3 and labels.tolist() == component_labels(3, []) == [0, 1, 2]
 
     def test_complete(self):
         count, labels = components(3, *complete(3), return_labels=True)
@@ -184,6 +186,20 @@ class TestComponents:
 
     def test_two_groups(self):
         assert components(5, *arrays([(0, 1), (1, 2), (3, 4)])) == 2
+
+    @given(small_graphs(), st.randoms(use_true_random=False))
+    @settings(max_examples=200)
+    def test_unsorted_edges_agree_with_bfs(self, graph, random):
+        # edges in any order, either end first: the CSR rows are built by
+        # the first end, so this exercises the reordering
+        n, edges = graph
+        edges = [(j, i) if random.random() < 0.5 else (i, j) for i, j in edges]
+        random.shuffle(edges)
+        a = np.array([i for i, _ in edges], dtype=np.int64)
+        b = np.array([j for _, j in edges], dtype=np.int64)
+        count, labels = components(n, a, b, return_labels=True)
+        expected = component_labels(n, edges)
+        assert labels.tolist() == expected and count == max(expected) + 1
 
     @given(small_graphs())
     @settings(max_examples=100)

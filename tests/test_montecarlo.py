@@ -135,6 +135,22 @@ class TestSweep:
         assert t1 == t2
         assert t1.to_csv_text() == t2.to_csv_text()
 
+    @pytest.mark.parametrize("K_grid,trials", [((3,), 7), ((2, 3, 4), 2)])
+    def test_trial_blocks_match_a_plain_loop(self, K_grid, trials):
+        # at 2 and 3 workers every cell is cut into blocks of trials: 7 blocks
+        # of the one cell, or 2 of each of the three
+        cfg = mc.ExperimentConfig(n=25, K_grid=K_grid, p_grid=(0.5,),
+                                  trials=trials, seed=77)
+        tables = [mc.sweep(cfg, workers=w) for w in (1, 2, 3)]
+        assert {t.to_csv_text() for t in tables} == {tables[0].to_csv_text()}
+        for ki, K in enumerate(K_grid):
+            outs = [mc.run_trial(cfg.n, K, 0.5, cfg.channel,
+                                 mc.trial_entropy(cfg.seed, cfg.channel, cfg.n, ki, 0, t))
+                    for t in range(trials)]
+            r = tables[2].cell(cfg.channel, K, 0.5)
+            assert r.count_connected == sum(o.connected for o in outs)
+            assert r.count_no_isolated == sum(o.isolated_count == 0 for o in outs)
+
     def test_containment_per_cell(self):
         for r in mc.sweep(SMALL).rows:
             assert r.count_connected <= r.count_no_isolated
@@ -345,6 +361,16 @@ class TestValidateBounds:
         assert mc._check("x", 0.49 + 1e-15, 0.49, 0.0, kind).passed
         assert not mc._check("x", 0.49 + 1e-6, 0.49, 0.0, kind).passed
         assert not mc._check("x", 1e6 * (1 + 1e-9), 1e6, 0.0, kind).passed
+
+    def test_rare_count_judged_by_exact_tails(self):
+        # 3 isolations against 0.22 expected lie 5.9 sigma out, yet
+        # P(X >= 3) = 1.48e-3 is above the normal 3-sigma tail, 1.35e-3
+        report = mc.validate_bounds(8, 7, 0.7, samples=1000, seed=1)
+        iso = next(c for c in report.checks if c.name == "isolation_prob")
+        q = th.isolation_prob(8, 7, 0.7)
+        assert iso.empirical == 0.003 and iso.reference == q and iso.passed
+        assert iso.sigma == math.sqrt(q * (1 - q) / 1000)
+        assert not mc._rate_check("isolation_prob", 4, 1000, q).passed
 
     def test_n3_isolation(self):
         report = mc.validate_bounds(3, 1, 0.5, samples=20_000, seed=6)
