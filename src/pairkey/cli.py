@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import numbers
 import os
 import secrets
@@ -99,11 +100,28 @@ def _effective_seed(seed: int) -> int:
     return seed or secrets.randbits(63) or 1
 
 
+def _finite(obj):
+    """obj with every non-finite float, which JSON cannot write, as None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return obj
+
+
+def _json_text(obj) -> str:
+    """obj as strict JSON: keys sorted, non-finite floats as null."""
+    return json.dumps(_finite(obj), indent=2, sort_keys=True, allow_nan=False)
+
+
 def write_outputs(obj, path: str, fmt: str) -> None:
     """Write an EstimateTable or report dict as csv or json.
 
     CSV probabilities carry 6 significant digits; JSON keeps full precision
-    so a round trip reproduces the value exactly. Output is bit-stable for
+    so a round trip reproduces the value exactly, and writes a non-finite
+    value (a skipped check's NaN) as null. Output is bit-stable for
     fixed inputs (fixed column order, LF line endings).
     """
     if fmt == "csv":
@@ -112,7 +130,7 @@ def write_outputs(obj, path: str, fmt: str) -> None:
         text = obj.to_csv_text()
     elif fmt == "json":
         payload = obj.to_json_obj() if isinstance(obj, mc.EstimateTable) else obj
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = _json_text(payload) + "\n"
     else:
         raise ValueError(f"unknown format {fmt!r}")
     with open(path, "w", newline="\n") as f:
@@ -234,53 +252,64 @@ def _simulate_config(args) -> mc.ExperimentConfig:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-
-        if args.command == "simulate":
-            config = _simulate_config(args)
-            workers = _workers(args.workers)
-            _check_out(args.out)
-            config = dataclasses.replace(config, seed=_effective_seed(config.seed))
-            print(f"seed: {config.seed}", file=sys.stderr)
-            write_outputs(mc.sweep(config, workers=workers), args.out, args.format)
-            return 0
-
-        if args.command == "theory":
-            report = theory.theory_report(args.n, args.K, args.p)
-            print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-            return 0
-
-        if args.command == "validate":
-            if args.out:
-                _check_out(args.out)
-            seed = _effective_seed(args.seed)
-            report = mc.validate_bounds(args.n, args.K, args.p,
-                                        samples=args.samples, seed=seed)
-            print(f"seed: {seed}", file=sys.stderr)
-            for c in report.checks:
-                line = (f"{c.name}: empirical={c.empirical:.6g} "
-                        f"reference={c.reference:.6g} sigma={c.sigma:.6g} "
-                        f"[{c.kind}] {'PASS' if c.passed else 'FAIL'}")
-                if c.status != "checked":
-                    line = f"{c.name}: {c.status}"
-                print(line)
-            if args.out:
-                write_outputs(report.to_dict(), args.out, "json")
-            return 0 if report.all_passed else 2
-
-        if args.command == "figure":
-            return main(FIGURES[args.name] + args.args)
-
-        if args.command == "dump-instance":
-            seed = _effective_seed(args.seed)
-            dump_instance(args.n, args.K, args.p, seed=seed, outdir=args.outdir)
-            print(f"seed: {seed}", file=sys.stderr)
-            return 0
-
-        raise ValueError(f"unknown command {args.command!r}")
+        status = _run(_build_parser().parse_args(argv))
+        # a reader that closed stdout shows up here at the latest, not at exit
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # nobody reads the rest: send it to devnull so the flush at exit
+        # does not fail again, and report nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+
+
+def _run(args) -> int:
+    """Run one parsed command; returns the exit status."""
+    if args.command == "simulate":
+        config = _simulate_config(args)
+        workers = _workers(args.workers)
+        _check_out(args.out)
+        config = dataclasses.replace(config, seed=_effective_seed(config.seed))
+        print(f"seed: {config.seed}", file=sys.stderr)
+        write_outputs(mc.sweep(config, workers=workers), args.out, args.format)
+        return 0
+
+    if args.command == "theory":
+        report = theory.theory_report(args.n, args.K, args.p)
+        print(_json_text(report.to_dict()))
+        return 0
+
+    if args.command == "validate":
+        if args.out:
+            _check_out(args.out)
+        seed = _effective_seed(args.seed)
+        report = mc.validate_bounds(args.n, args.K, args.p,
+                                    samples=args.samples, seed=seed)
+        print(f"seed: {seed}", file=sys.stderr)
+        for c in report.checks:
+            line = (f"{c.name}: empirical={c.empirical:.6g} "
+                    f"reference={c.reference:.6g} sigma={c.sigma:.6g} "
+                    f"[{c.kind}] {'PASS' if c.passed else 'FAIL'}")
+            if c.status != "checked":
+                line = f"{c.name}: {c.status}"
+            print(line)
+        if args.out:
+            write_outputs(report.to_dict(), args.out, "json")
+        return 0 if report.all_passed else 2
+
+    if args.command == "figure":
+        return main(FIGURES[args.name] + args.args)
+
+    if args.command == "dump-instance":
+        seed = _effective_seed(args.seed)
+        dump_instance(args.n, args.K, args.p, seed=seed, outdir=args.outdir)
+        print(f"seed: {seed}", file=sys.stderr)
+        return 0
+
+    raise ValueError(f"unknown command {args.command!r}")
 
 
 if __name__ == "__main__":

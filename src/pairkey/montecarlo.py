@@ -2,13 +2,13 @@
 errors, crossover extraction, and the bound-validation suite.
 
 A trial's graph is held as sorted edge arrays (a, b), a < b: the keyed pairs
-of the pairing, filtered by the channel. A trial builds no n x n adjacency.
+of the pairing, filtered by the channel. A trial builds no n x n array.
 It still draws all n(n-1) pairing uniforms and, on on/off, all C(n,2) link
 uniforms, but a block at a time, keeping only what each block decides: the
-chosen partners and the links of keyed pairs. So an on/off trial takes
-O(nK + block) memory; the disk channel still builds the all-pairs distance
-matrix, one axis at a time. (validate_bounds, for small n only, batches
-dense matrices over many samples instead.)
+chosen partners and the links of keyed pairs. The disk channel computes
+distances at the keyed pairs only. So a trial takes O(nK + block) memory.
+(validate_bounds, for small n only, runs dense matrices over tiles of
+samples instead; estimate_edge_prob draws its uniforms in blocks too.)
 
 Every trial is seeded by a counter-based derivation from
 (master seed, channel tag, n, K-index, p-index, trial index), so results are
@@ -135,7 +135,7 @@ def _intersection_edges(n: int, K: int, p: float, channel: str,
         up = onoff_links(n, p, pair_index(n, a, b), rng)
     else:
         rho = match_rho(p, channel)
-        up = toroidal_distance_matrix(rng.random((n, 2)))[a, b] < rho
+        up = toroidal_distance_matrix(rng.random((n, 2)), a, b) < rho
     return a[up], b[up]
 
 
@@ -357,15 +357,21 @@ def estimate_edge_prob(n: int, K: int, p: float, trials: int,
     rng = rng_from_entropy((seed, 101, n, K))
     hits = 0
     done = 0
+    # a chunk's t pairing draws come before its t link uniforms, so the chunk
+    # size sets the stream; the pairing draws are read a block at a time
     chunk = max(1024, min(trials, int(4e6 / (2 * (n - 1)))))
+    step = max(1, _BLOCK // (2 * (n - 1)))
     while done < trials:
         t = min(chunk, trials - done)
-        u = rng.random((t, 2, n - 1))
-        # node 2 is candidate 0 of node 1, node 1 is candidate 0 of node 2
-        in_g1 = (u[:, 0, :] < u[:, 0, 0:1]).sum(axis=1) < K
-        in_g2 = (u[:, 1, :] < u[:, 1, 0:1]).sum(axis=1) < K
+        keyed = np.empty(t, dtype=bool)
+        for start in range(0, t, step):
+            u = rng.random((min(step, t - start), 2, n - 1))
+            # node 2 is candidate 0 of node 1, node 1 is candidate 0 of
+            # node 2: either picked the other iff its rank is below K
+            ranks = np.count_nonzero(u < u[:, :, :1], axis=2)
+            keyed[start:start + u.shape[0]] = (ranks < K).any(axis=1)
         b = rng.random(t) < p
-        hits += int(np.count_nonzero((in_g1 | in_g2) & b))
+        hits += int(np.count_nonzero(keyed & b))
         done += t
     return hits / trials, _binomial_stderr(hits / trials, trials)
 
@@ -427,6 +433,27 @@ def _rate_check(name, count, trials, q) -> BoundCheck:
                       passed=bool(tail >= _PHI_MINUS_3))
 
 
+def _dense_tile(gamma0: np.ndarray, ub: np.ndarray, p: float, r: int) -> tuple:
+    """Per-sample columns of validate_bounds for a tile of t samples, from
+    their partners (t, n, K) and channel uniforms (t, C(n,2)), through dense
+    (t, n, n) matrices: edge {0,1}, picks 2->0 and 2->1, isolation of nodes
+    0 and 1, the outside-pick count, and keyed {0,1} and {0,2}."""
+    t, n, _ = gamma0.shape
+    picked = np.zeros((t, n, n), dtype=bool)
+    picked[np.arange(t)[:, None, None], np.arange(n)[None, :, None], gamma0] = True
+    keyed = picked | picked.transpose(0, 2, 1)
+
+    chan = np.zeros((t, n, n), dtype=bool)
+    iu, ju = np.triu_indices(n, k=1)
+    chan[:, iu, ju] = ub < p
+    chan |= chan.transpose(0, 2, 1)
+    adj = keyed & chan
+
+    return (adj[:, 0, 1], picked[:, 2, 0], picked[:, 2, 1],
+            ~adj[:, 0, :].any(axis=1), ~adj[:, 1, :].any(axis=1),
+            picked[:, r:, :r].sum(axis=(1, 2)), keyed[:, 0, 1], keyed[:, 0, 2])
+
+
 def validate_bounds(n: int, K: int, p: float, samples: int,
                     seed: int = 0) -> ValidationReport:
     """Estimate every checkable moment and compare it against its closed
@@ -457,47 +484,41 @@ def validate_bounds(n: int, K: int, p: float, samples: int,
     s_tail = 0
     s_x = s_y = s_xy = 0
     done = 0
+    # the chunk size sets the stream: a chunk's pairings, then its links;
+    # the tile size sets only how many samples' dense matrices exist at once
     chunk = max(1000, min(samples, int(2e6 / (n * n))))
+    tile = max(1, _BLOCK // (n * n))
     e_mean = theory.estar_mean(n, r, K)
     tail_cut = (1.0 - TAIL_T) * e_mean
 
     while done < samples:
         t = min(chunk, samples - done)
         gamma0 = draw_partners((t, n), K, rng)
-        rows = np.arange(n)[None, :, None]
-        picked = np.zeros((t, n, n), dtype=bool)
-        ti = np.arange(t)[:, None, None]
-        picked[ti, rows, gamma0] = True
-        keyed = picked | picked.transpose(0, 2, 1)
+        # per-sample columns of the whole chunk, so every sum below adds the
+        # same values in the same order whatever the tile size
+        columns = np.empty((8, t), dtype=np.int64)
+        for s in range(0, t, tile):
+            g = gamma0[s:s + tile]
+            # the chunk's channel uniforms, (t, C(n,2)) after all its
+            # pairings, are drawn one tile of rows at a time
+            ub = rng.random((len(g), n * (n - 1) // 2))
+            columns[:, s:s + len(g)] = _dense_tile(g, ub, p, r)
+        edge, pair0, pair1, chi1, chi2, e_count, x, y = columns
 
-        m = n * (n - 1) // 2
-        ub = rng.random((t, m))
-        chan = np.zeros((t, n, n), dtype=bool)
-        iu, ju = np.triu_indices(n, k=1)
-        chan[:, iu, ju] = ub < p
-        chan |= chan.transpose(0, 2, 1)
-        adj = keyed & chan
-
-        s_edge += int(np.count_nonzero(adj[:, 0, 1]))
-        s_pair += int(np.count_nonzero(picked[:, 2, 0]))
-
-        chi1 = ~adj[:, 0, :].any(axis=1)
-        chi2 = ~adj[:, 1, :].any(axis=1)
+        s_edge += int(np.count_nonzero(edge))
+        s_pair += int(np.count_nonzero(pair0))
         s_chi1 += int(np.count_nonzero(chi1))
         s_chi12 += int(np.count_nonzero(chi1 & chi2))
 
-        b_samp = q1 ** (picked[:, 2, 0].astype(np.int64)
-                        + picked[:, 2, 1].astype(np.int64))
+        b_samp = q1 ** (pair0 + pair1)
         s_b += float(b_samp.sum())
         s_b2 += float((b_samp * b_samp).sum())
 
-        e_samp = picked[:, r:, :r].sum(axis=(1, 2)).astype(float)
+        e_samp = e_count.astype(float)
         s_e += float(e_samp.sum())
         s_e2 += float((e_samp * e_samp).sum())
         s_tail += int(np.count_nonzero(e_samp <= tail_cut))
 
-        x = keyed[:, 0, 1]
-        y = keyed[:, 0, 2]
         s_x += int(np.count_nonzero(x))
         s_y += int(np.count_nonzero(y))
         s_xy += int(np.count_nonzero(x & y))

@@ -15,7 +15,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from pairkey.channels import match_rho, toroidal_distance_matrix
+from pairkey.channels import match_rho
 from pairkey.montecarlo import keyed_pairs, pair_index
 
 
@@ -102,8 +102,8 @@ def toroidal_distance(a, b):
 
 def stacked_toroidal_distance_matrix(points):
     """All-pairs torus distances through one (n, n, 2) array of wrapped
-    differences, summed over its last axis: the form the library's per-axis
-    matrix must equal bitwise."""
+    differences, summed over its last axis: the form the library's per-pair
+    distances must equal bitwise."""
     d = np.abs(points[:, None, :] - points[None, :, :])
     d = np.minimum(d, 1.0 - d)
     return np.sqrt((d * d).sum(axis=2))
@@ -235,13 +235,14 @@ def partners_from_uniforms(u, K):
 def intersection_edges(n, K, p, channel, rng):
     """The kernel's intersection graph as sorted edge arrays (a, b), drawn
     whole: one (n, n-1) array of pairing uniforms, then all C(n,2) on/off
-    uniforms at once (or n positions for disk)."""
+    uniforms at once (or n positions for disk, read off the stacked
+    all-pairs distance matrix)."""
     a, b = keyed_pairs(partners_from_uniforms(rng.random((n, n - 1)), K))
     if channel == "on_off":
         up = (rng.random(n * (n - 1) // 2) < p)[pair_index(n, a, b)]
     else:
         rho = match_rho(p, channel)
-        up = toroidal_distance_matrix(rng.random((n, 2)))[a, b] < rho
+        up = stacked_toroidal_distance_matrix(rng.random((n, 2)))[a, b] < rho
     return a[up], b[up]
 
 

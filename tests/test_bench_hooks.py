@@ -55,7 +55,7 @@ def test_benchmark_output_checks_pass(name, monkeypatch):
 
 def test_traced_disk_sweep_sees_every_layer():
     # the traced benchmark run is one process: one `cell` span per cell, and
-    # the all-pairs distance matrix once per trial
+    # one distance call per trial, which holds less than an n x n matrix
     tracing = load_tracing()
     cfg = mc.ExperimentConfig(n=20, K_grid=(1, 3), p_grid=(0.5, 1.0), trials=3,
                               seed=1, channel="disk_forced")
@@ -66,3 +66,4 @@ def test_traced_disk_sweep_sees_every_layer():
     assert tracer.absent == []
     assert m["channels.distance.calls"] == m["trial.calls"] == 4 * cfg.trials
     assert m["sweep.cells"] == 4
+    assert 0 < m["channels.distance.alloc_mb"] < cfg.n * cfg.n * 8 / tracing.MB

@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,6 +24,14 @@ def read_edges(path):
 
 def no_work(*args, **kwargs):
     raise AssertionError("work ran")
+
+
+def strict_json(text):
+    """json.loads without Python's NaN and Infinity, which JSON lacks and
+    other parsers reject."""
+    def reject(name):
+        raise ValueError(f"not JSON: {name}")
+    return json.loads(text, parse_constant=reject)
 
 
 INSTANCE_FILES = ("channel.edges", "pairwise.edges", "intersection.edges",
@@ -141,6 +152,27 @@ class TestTheoryCommand:
 
     def test_invalid_params(self):
         assert run(["theory", "--n", "5", "--K", "5", "--p", "0.5"]) == 1
+
+    def test_non_finite_is_null(self, capsys):
+        # alpha_n is NaN at p=1
+        assert run(["theory", "--n", "5", "--K", "4", "--p", "1.0"]) == 0
+        assert strict_json(capsys.readouterr().out)["alpha_n"] is None
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_closed_reader_is_not_an_error(self, unbuffered):
+        # the pipe is closed before the child has imported anything, so its
+        # write (Python ignores SIGPIPE) or its flush fails with EPIPE
+        src = str(Path(cli.__file__).parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = {**os.environ, "PYTHONPATH": path, "PYTHONUNBUFFERED": unbuffered}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "pairkey.cli", "theory", "--n", "5", "--K", "4",
+             "--p", "1.0"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        proc.wait(timeout=60)
+        assert err == b""
 
 
 class TestSimulateCommand:
@@ -307,6 +339,15 @@ class TestValidateCommand:
 
     def test_bad_params_exit_one(self):
         assert run(["validate", "--n", "5", "--K", "9", "--seed", "1"]) == 1
+
+    def test_skipped_check_is_null(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert run(["validate", "--n", "5", "--K", "2", "--p", "1.0", "--samples",
+                    "5000", "--seed", "1", "--out", str(out)]) == 0
+        check = next(c for c in strict_json(out.read_text())["checks"]
+                     if c["name"] == "cross_moment_ratio")
+        assert check["status"].startswith("skipped")
+        assert check["empirical"] is check["reference"] is check["sigma"] is None
 
 
 class TestDumpInstance:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations, product
 
@@ -19,6 +20,18 @@ def object_path_trial(n, K, p, channel, entropy):
     same entropy."""
     return mc.TrialOutcome(*oracles.trial(n, K, p, channel,
                                           mc.rng_from_entropy(entropy)))
+
+
+def peak_mb(fn):
+    """tracemalloc's peak, in MB, over one call of fn, after a first call
+    has paid any one-time allocation."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 class TestRunTrial:
@@ -59,6 +72,11 @@ class TestRunTrial:
                 e = mc.trial_entropy(5, channel, n, K, 0, t)
                 assert mc.run_trial(n, K, p, channel, e) == \
                     object_path_trial(n, K, p, channel, e)
+
+    def test_disk_trial_holds_no_distance_matrix(self):
+        # the all-pairs distance matrix alone is 69 MB at n=3000; the
+        # matrix form peaked at 206 MB here
+        assert peak_mb(lambda: mc.run_trial(3000, 10, 0.5, "disk_forced", 1)) < 16
 
     def test_full_visibility_connected(self):
         hits = sum(
@@ -320,6 +338,10 @@ class TestEstimateEdgeProb:
     def test_no_trials_rejected(self):
         with pytest.raises(ValueError, match="trials"):
             mc.estimate_edge_prob(10, 3, 0.4, trials=0, seed=9)
+
+    def test_draws_a_block_at_a_time(self):
+        # one (t, 2, n-1) chunk of pairing uniforms peaked at 61 MB here
+        assert peak_mb(lambda: mc.estimate_edge_prob(200, 12, 0.2, 100_000, seed=1)) < 8
 
     def test_deterministic(self):
         a = mc.estimate_edge_prob(10, 3, 0.4, trials=5000, seed=9)

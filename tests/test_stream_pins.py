@@ -47,10 +47,11 @@ SIMULATE_JSON = (["--n", "20", "--K", "1,2,3,6", "--p", "0.3,1.0", "--trials", "
                   "--seed", "5", "--workers", "1"],
                  "a4d2ec0842262311b9eb92f4235da77a181a0d0006ae0784a57f2bccfa08bff1")
 
-# (n, K, p, samples, seed) -> sha256 of `validate --out`; both skip reasons
+# (n, K, p, samples, seed) -> sha256 of `validate --out`; both skip reasons,
+# whose NaN fields are written as null
 VALIDATE_JSON = {
-    (5, 2, 1.0, 5000, 1): "b713e13fd5b8f35b0ea72e88e60b9d64e75b598d21dab6f514f6ec1372c7a85a",
-    (12, 11, 0.5, 2000, 4): "cd354d15248ef77e71f5bd76edf604f61791f599e12456798eca88a0b170e1e4",
+    (5, 2, 1.0, 5000, 1): "2c46a61cc8bc9c44809efbb17cf14ac7691614682568d65020ce57bffff397c2",
+    (12, 11, 0.5, 2000, 4): "9cf0a5060fa6e3bc85bdbe19e4b97ea4e0c8f88d4c88edf61ffb1022d2113323",
 }
 
 
