@@ -356,12 +356,11 @@ def estimate_edge_prob(n: int, K: int, p: float, trials: int,
     check_int("seed", seed, 0)
     rng = rng_from_entropy((seed, 101, n, K))
     hits = 0
-    done = 0
     # a chunk's t pairing draws come before its t link uniforms, so the chunk
     # size sets the stream; the pairing draws are read a block at a time
     chunk = max(1024, min(trials, int(4e6 / (2 * (n - 1)))))
     step = max(1, _BLOCK // (2 * (n - 1)))
-    while done < trials:
+    for done in range(0, trials, chunk):
         t = min(chunk, trials - done)
         keyed = np.empty(t, dtype=bool)
         for start in range(0, t, step):
@@ -372,7 +371,6 @@ def estimate_edge_prob(n: int, K: int, p: float, trials: int,
             keyed[start:start + u.shape[0]] = (ranks < K).any(axis=1)
         b = rng.random(t) < p
         hits += int(np.count_nonzero(keyed & b))
-        done += t
     return hits / trials, _binomial_stderr(hits / trials, trials)
 
 
@@ -433,11 +431,15 @@ def _rate_check(name, count, trials, q) -> BoundCheck:
                       passed=bool(tail >= _PHI_MINUS_3))
 
 
-def _dense_tile(gamma0: np.ndarray, ub: np.ndarray, p: float, r: int) -> tuple:
-    """Per-sample columns of validate_bounds for a tile of t samples, from
-    their partners (t, n, K) and channel uniforms (t, C(n,2)), through dense
-    (t, n, n) matrices: edge {0,1}, picks 2->0 and 2->1, isolation of nodes
-    0 and 1, the outside-pick count, and keyed {0,1} and {0,2}."""
+def _dense_tile(gamma0: np.ndarray, ub: np.ndarray, p: float, r: int,
+                tail_cut: float) -> np.ndarray:
+    """Tallies of validate_bounds over a tile of t samples, from their
+    partners (t, n, K) and channel uniforms (t, C(n,2)), through dense
+    (t, n, n) matrices, as one int64 vector: the counts of edge {0,1}, of
+    pick 2->0, of node 0 isolated, of nodes 0 and 1 both isolated, of keyed
+    {0,1}, of keyed {0,2} and of both; the histogram of X+Y in {0, 1, 2},
+    X and Y the picks 2->0 and 2->1; and the sum, the sum of squares and the
+    count at or below tail_cut of the outside-pick count."""
     t, n, _ = gamma0.shape
     picked = np.zeros((t, n, n), dtype=bool)
     picked[np.arange(t)[:, None, None], np.arange(n)[None, :, None], gamma0] = True
@@ -449,9 +451,14 @@ def _dense_tile(gamma0: np.ndarray, ub: np.ndarray, p: float, r: int) -> tuple:
     chan |= chan.transpose(0, 2, 1)
     adj = keyed & chan
 
-    return (adj[:, 0, 1], picked[:, 2, 0], picked[:, 2, 1],
-            ~adj[:, 0, :].any(axis=1), ~adj[:, 1, :].any(axis=1),
-            picked[:, r:, :r].sum(axis=(1, 2)), keyed[:, 0, 1], keyed[:, 0, 2])
+    chi1, chi2 = ~adj[:, 0, :].any(axis=1), ~adj[:, 1, :].any(axis=1)
+    k01, k02 = keyed[:, 0, 1], keyed[:, 0, 2]
+    e = picked[:, r:, :r].sum(axis=(1, 2))
+    counts = [np.count_nonzero(c) for c in (adj[:, 0, 1], picked[:, 2, 0], chi1,
+                                            chi1 & chi2, k01, k02, k01 & k02)]
+    xy = np.bincount(picked[:, 2, :2].sum(axis=1), minlength=3)
+    return np.array([*counts, *xy, e.sum(), (e * e).sum(),
+                     np.count_nonzero(e <= tail_cut)], dtype=np.int64)
 
 
 def validate_bounds(n: int, K: int, p: float, samples: int,
@@ -475,54 +482,24 @@ def validate_bounds(n: int, K: int, p: float, samples: int,
 
     rng = rng_from_entropy((seed, 102, n, K))
     r = 2
-    q1 = 1.0 - p
-
-    # accumulators
-    s_edge = s_pair = s_chi1 = s_chi12 = 0
-    s_b = s_b2 = 0.0
-    s_e = s_e2 = 0.0
-    s_tail = 0
-    s_x = s_y = s_xy = 0
-    done = 0
+    e_mean = theory.estar_mean(n, r, K)
+    tail_cut = (1.0 - TAIL_T) * e_mean
     # the chunk size sets the stream: a chunk's pairings, then its links;
     # the tile size sets only how many samples' dense matrices exist at once
     chunk = max(1000, min(samples, int(2e6 / (n * n))))
     tile = max(1, _BLOCK // (n * n))
-    e_mean = theory.estar_mean(n, r, K)
-    tail_cut = (1.0 - TAIL_T) * e_mean
-
-    while done < samples:
+    tally = np.zeros(13, dtype=np.int64)
+    for done in range(0, samples, chunk):
         t = min(chunk, samples - done)
         gamma0 = draw_partners((t, n), K, rng)
-        # per-sample columns of the whole chunk, so every sum below adds the
-        # same values in the same order whatever the tile size
-        columns = np.empty((8, t), dtype=np.int64)
         for s in range(0, t, tile):
             g = gamma0[s:s + tile]
             # the chunk's channel uniforms, (t, C(n,2)) after all its
             # pairings, are drawn one tile of rows at a time
             ub = rng.random((len(g), n * (n - 1) // 2))
-            columns[:, s:s + len(g)] = _dense_tile(g, ub, p, r)
-        edge, pair0, pair1, chi1, chi2, e_count, x, y = columns
-
-        s_edge += int(np.count_nonzero(edge))
-        s_pair += int(np.count_nonzero(pair0))
-        s_chi1 += int(np.count_nonzero(chi1))
-        s_chi12 += int(np.count_nonzero(chi1 & chi2))
-
-        b_samp = q1 ** (pair0 + pair1)
-        s_b += float(b_samp.sum())
-        s_b2 += float((b_samp * b_samp).sum())
-
-        e_samp = e_count.astype(float)
-        s_e += float(e_samp.sum())
-        s_e2 += float((e_samp * e_samp).sum())
-        s_tail += int(np.count_nonzero(e_samp <= tail_cut))
-
-        s_x += int(np.count_nonzero(x))
-        s_y += int(np.count_nonzero(y))
-        s_xy += int(np.count_nonzero(x & y))
-        done += t
+            tally += _dense_tile(g, ub, p, r, tail_cut)
+    (s_edge, s_pair, s_chi1, s_chi12, s_x, s_y, s_xy,
+     c0, c1, c2, s_e, s_e2, s_tail) = tally.tolist()
 
     T = samples
     checks: list[BoundCheck] = []
@@ -532,8 +509,13 @@ def validate_bounds(n: int, K: int, p: float, samples: int,
                            ("isolation_prob", s_chi1, theory.isolation_prob(n, K, p))):
         checks.append(_rate_check(name, count, T, q))
 
-    b_hat = s_b / T
-    b_var = max(s_b2 / T - b_hat * b_hat, 0.0)
+    # b = (1-p)^(X+Y) from the counts c0, c1, c2 of X+Y; at K = n-1,
+    # X = Y = 1 and b is constant
+    q1 = 1.0 - p
+    q2 = q1 * q1
+    b_hat = (c0 + c1 * q1 + c2 * q2) / T
+    b_var = 0.0 if T in (c0, c1, c2) else \
+        max((c0 + c1 * q2 + c2 * q2 * q2) / T - b_hat * b_hat, 0.0)
     u_sq = theory.u_n(n, K, p) ** 2
     checks.append(_check("b_leq_u_squared", b_hat, u_sq, math.sqrt(b_var / T), "upper"))
 

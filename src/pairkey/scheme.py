@@ -73,7 +73,8 @@ def draw_partners(shape: tuple[int, ...], K: int,
         stop = min(start + step, total)
         out[start:stop] = _smallest(rng.random((stop - start, n - 1)), K, cut, bits)
     out = out.reshape(*shape, K)
-    return out + (out >= np.arange(n)[:, None])
+    out += out >= np.arange(n)[:, None]
+    return out
 
 
 def sample_gamma_matrix(n: int, K: int, rng: np.random.Generator) -> np.ndarray:

@@ -114,27 +114,12 @@ def alpha_n(n: int, K: int, p: float) -> float:
     return (1.0 - c) * math.log(n) + K * (p + math.log1p(-p))
 
 
-def psi(x: float) -> float:
-    """Remainder in log(1-x) = -x - psi(x); nonnegative, psi(x)/x^2 -> 1/2."""
-    check_real("x", x)
-    if not 0.0 <= x < 1.0:
-        raise ValueError(f"x must be in [0, 1), got {x}")
-    return -x - math.log1p(-x)
-
-
 def isolation_prob(n: int, K: int, p: float) -> float:
     """Probability that a given node is isolated in the intersection graph:
     (1-p)^K * (1 - pK/(n-1))^(n-K-1)."""
     check_nk(n, K)
     check_p(p)
     return (1.0 - p) ** K * (1.0 - p * K / (n - 1)) ** (n - K - 1)
-
-
-def asymptotic_isolation_prob(K: int, p: float) -> float:
-    """Large-n limit of isolation_prob at fixed (K, p): (1-p)^K * e^(-pK)."""
-    check_int("K", K, 1)
-    check_p_open(p)
-    return (1.0 - p) ** K * math.exp(-p * K)
 
 
 def u_n(n: int, K: int, p: float) -> float:

@@ -5,8 +5,10 @@ enumeration for n <= 5, and in closed form at K=1 for any n), the key rings
 of a pairing, and a pure-Python sampler of one trial's graph that draws the
 same random numbers in the same order as the array kernel, and the array
 kernel's whole-array form, which draws each trial's pairing and on/off links
-in one piece, and the torus distance matrix summed over a stacked axis. Also
-two stand-in generators that script or record the kernel's draws."""
+in one piece, and the torus distance matrix summed over a stacked axis; the
+bound suite's per-sample column form, which sums float columns where the
+library adds integer tallies. Also two stand-in generators that script or
+record the kernel's draws."""
 
 import math
 from collections import Counter, deque
@@ -15,8 +17,11 @@ from itertools import combinations, product
 
 import numpy as np
 
+from pairkey import theory
 from pairkey.channels import match_rho
-from pairkey.montecarlo import keyed_pairs, pair_index
+from pairkey.montecarlo import (TAIL_T, BoundCheck, ValidationReport, _check,
+                                _binomial_stderr, _rate_check, keyed_pairs,
+                                pair_index, rng_from_entropy)
 
 
 def all_pairings(n, K):
@@ -244,6 +249,89 @@ def intersection_edges(n, K, p, channel, rng):
         rho = match_rho(p, channel)
         up = stacked_toroidal_distance_matrix(rng.random((n, 2)))[a, b] < rho
     return a[up], b[up]
+
+
+def validate_columns(n, K, p, samples, seed):
+    """validate_bounds as per-sample columns: each chunk's whole dense
+    (t, n, n) batch at once, eight int64 columns per sample, and float sums
+    of (1-p)^(X+Y) and its square, X and Y the picks 2->0 and 2->1. Draws
+    the library's stream (a chunk's pairings, then its channel uniforms),
+    so every check is the library's, up to the rounding of those float sums
+    at a p that is not dyadic."""
+    rng = rng_from_entropy((seed, 102, n, K))
+    r, q1, T = 2, 1.0 - p, samples
+    s_edge = s_pair = s_chi1 = s_chi12 = s_tail = s_x = s_y = s_xy = 0
+    s_b = s_b2 = s_e = s_e2 = 0.0
+    chunk = max(1000, min(samples, int(2e6 / (n * n))))
+    e_mean = theory.estar_mean(n, r, K)
+    tail_cut = (1.0 - TAIL_T) * e_mean
+    for done in range(0, samples, chunk):
+        t = min(chunk, samples - done)
+        gamma0 = partners_from_uniforms(rng.random((t, n, n - 1)), K)
+        picked = np.zeros((t, n, n), dtype=bool)
+        picked[np.arange(t)[:, None, None], np.arange(n)[None, :, None], gamma0] = True
+        keyed = picked | picked.transpose(0, 2, 1)
+        chan = np.zeros((t, n, n), dtype=bool)
+        iu, ju = np.triu_indices(n, k=1)
+        chan[:, iu, ju] = rng.random((t, n * (n - 1) // 2)) < p
+        chan |= chan.transpose(0, 2, 1)
+        adj = keyed & chan
+        edge, pair0, pair1, chi1, chi2, e_count, x, y = np.array([
+            adj[:, 0, 1], picked[:, 2, 0], picked[:, 2, 1],
+            ~adj[:, 0, :].any(axis=1), ~adj[:, 1, :].any(axis=1),
+            picked[:, r:, :r].sum(axis=(1, 2)), keyed[:, 0, 1], keyed[:, 0, 2]],
+            dtype=np.int64)
+        s_edge += int(np.count_nonzero(edge))
+        s_pair += int(np.count_nonzero(pair0))
+        s_chi1 += int(np.count_nonzero(chi1))
+        s_chi12 += int(np.count_nonzero(chi1 & chi2))
+        b_samp = q1 ** (pair0 + pair1)
+        s_b += float(b_samp.sum())
+        s_b2 += float((b_samp * b_samp).sum())
+        e_samp = e_count.astype(float)
+        s_e += float(e_samp.sum())
+        s_e2 += float((e_samp * e_samp).sum())
+        s_tail += int(np.count_nonzero(e_samp <= tail_cut))
+        s_x += int(np.count_nonzero(x))
+        s_y += int(np.count_nonzero(y))
+        s_xy += int(np.count_nonzero(x & y))
+
+    checks = [_rate_check(name, count, T, q) for name, count, q in (
+        ("edge_prob", s_edge, theory.edge_prob(n, K, p)),
+        ("pairing_prob", s_pair, K / (n - 1)),
+        ("isolation_prob", s_chi1, theory.isolation_prob(n, K, p)))]
+    b_hat = s_b / T
+    b_var = max(s_b2 / T - b_hat * b_hat, 0.0)
+    checks.append(_check("b_leq_u_squared", b_hat, theory.u_n(n, K, p) ** 2,
+                         math.sqrt(b_var / T), "upper"))
+    bound = theory.cross_moment_ratio_bound(n, K, p) if p < 1.0 else float("nan")
+    skip = ("undefined at p=1" if p == 1.0
+            else "no isolation events observed" if s_chi1 == 0 else None)
+    if skip:
+        checks.append(BoundCheck(
+            name="cross_moment_ratio", empirical=float("nan"), reference=bound,
+            sigma=float("nan"), kind="upper", passed=True, status=f"skipped: {skip}"))
+    else:
+        a_hat, c_hat = s_chi12 / T, s_chi1 / T
+        ratio = a_hat / (c_hat * c_hat)
+        sig_a, sig_c = _binomial_stderr(a_hat, T), _binomial_stderr(c_hat, T)
+        rel = math.sqrt((sig_a / a_hat) ** 2 + (2 * sig_c / c_hat) ** 2) \
+            if a_hat > 0 else 0.0
+        checks.append(_check("cross_moment_ratio", ratio, bound, ratio * rel, "upper"))
+    e_hat = s_e / T
+    e_var = max(s_e2 / T - e_hat * e_hat, 0.0)
+    checks.append(_check("estar_mean", e_hat, e_mean,
+                         math.sqrt(e_var / T) if e_var > 0 else 1.0 / T, "two_sided"))
+    tail_hat = s_tail / T
+    checks.append(_check("estar_tail", tail_hat, theory.estar_chernoff(n, r, K, TAIL_T),
+                         math.sqrt(max(tail_hat * (1 - tail_hat), 1.0 / T) / T), "upper"))
+    mx, my = s_x / T, s_y / T
+    cov = s_xy / T - mx * my
+    var_cov = (s_xy / T) * (1 - s_xy / T) / T \
+        + (my ** 2) * mx * (1 - mx) / T + (mx ** 2) * my * (1 - my) / T
+    checks.append(_check("edge_covariance", cov, 0.0, math.sqrt(var_cov), "upper"))
+    return ValidationReport(n=n, K=K, p=p, samples=samples, seed=seed,
+                            checks=tuple(checks))
 
 
 class ScriptedRng:

@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 from itertools import combinations, product
 
 import numpy as np
@@ -377,6 +377,9 @@ class TestValidateBounds:
             for c in report.checks:
                 if c.name in ("pairing_prob", "b_leq_u_squared", "edge_covariance"):
                     assert c.passed, (n, p, c)
+                # every sample has b = (1-p)^2, so its sigma is 0, not rounding
+                if c.name == "b_leq_u_squared":
+                    assert c.sigma == 0.0, (n, p, c)
 
     @pytest.mark.parametrize("kind", ["two_sided", "upper"])
     def test_rounding_slack_is_no_wider(self, kind):
@@ -409,3 +412,50 @@ class TestValidateBounds:
         a = mc.validate_bounds(5, 2, 0.5, samples=3_000, seed=8)
         b = mc.validate_bounds(5, 2, 0.5, samples=3_000, seed=8)
         assert a == b
+
+    @pytest.mark.parametrize("n,K,p,samples,seed", [
+        (5, 2, 0.5, 20_000, 3),
+        (5, 4, 0.75, 5_000, 2),       # K = n-1: b is constant
+        (5, 2, 1.0, 5_000, 3),        # cross-moment check skipped
+        (3, 1, 0.5, 20_000, 6),
+        (30, 2, 0.5, 5_000, 7),       # many pairing blocks per chunk
+        (5, 3, 0.25, 170_000, 4),     # a short last chunk
+        (8, 7, 0.7, 1_000, 1),
+        (5, 2, 0.3, 20_000, 4),
+        (7, 3, 0.45, 30_000, 5),
+        (12, 5, 0.2, 3_000, 9),
+        (4, 1, 0.9, 2_000, 1),
+    ])
+    def test_tallies_match_column_form(self, n, K, p, samples, seed):
+        assert_matches_columns(mc.validate_bounds(n, K, p, samples, seed),
+                               oracles.validate_columns(n, K, p, samples, seed))
+
+    def test_tiles_that_cut_chunks_match_column_form(self, monkeypatch):
+        # 7 samples per tile, so the 20,000-sample chunk ends in a short tile
+        monkeypatch.setattr(mc, "_BLOCK", 7 * 25)
+        for p in (0.5, 0.45):
+            assert_matches_columns(mc.validate_bounds(5, 2, p, 20_000, 12),
+                                   oracles.validate_columns(5, 2, p, 20_000, 12))
+
+    def test_keeps_tallies_not_samples(self):
+        # the per-sample int64 columns and a second copy of each chunk's
+        # partners peaked at 25.7 MB here
+        assert peak_mb(lambda: mc.validate_bounds(5, 2, 0.5, 200_000, seed=1)) < 20
+
+
+def assert_matches_columns(report, reference):
+    """Every field of every check equals the column form's; at a p that is
+    not dyadic, b_leq_u_squared's estimate and sigma to relative 1e-12 (the
+    column form sums rounded per-sample powers of 1-p)."""
+    assert len(report.checks) == len(reference.checks)
+    dyadic = (report.p * 2 ** 10).is_integer()
+    for got, want in zip(report.checks, reference.checks):
+        inexact = () if dyadic or got.name != "b_leq_u_squared" else ("empirical", "sigma")
+        for field, value in asdict(got).items():
+            expect = getattr(want, field)
+            if field in inexact:
+                assert value == pytest.approx(expect, rel=1e-12), (got.name, field)
+            elif isinstance(value, float) and math.isnan(value):
+                assert math.isnan(expect), (got.name, field)
+            else:
+                assert value == expect, (got.name, field)

@@ -104,7 +104,6 @@ class TestTauHat:
 OPEN_P = {
     "tau_hat": th.tau_hat,
     "alpha_n": lambda p: th.alpha_n(100, 5, p),
-    "asymptotic_isolation_prob": lambda p: th.asymptotic_isolation_prob(5, p),
     "cross_moment_ratio_bound": lambda p: th.cross_moment_ratio_bound(100, 5, p),
 }
 
@@ -122,8 +121,6 @@ NOT_REAL = {
     "theory_report p='0.3'": lambda: th.theory_report(100, 5, "0.3"),
     "tau p=True": lambda: th.tau(True),
     "tau p='0.3'": lambda: th.tau("0.3"),
-    "psi x=False": lambda: th.psi(False),
-    "psi x='0.3'": lambda: th.psi("0.3"),
     "estar_chernoff t='0.5'": lambda: th.estar_chernoff(5, 2, 2, "0.5"),
     "estar_mean r=2.5": lambda: th.estar_mean(5, 2.5, 2),
     "connected_subset_bound r=2.5": lambda: th.connected_subset_bound(5, 2.5, 2, 0.5),
@@ -190,28 +187,6 @@ class TestAlpha:
         assert abs(exact - th.alpha_n(n, K, p)) < 0.05
 
 
-class TestPsi:
-    def test_zero(self):
-        assert th.psi(0.0) == 0.0
-
-    def test_half(self):
-        assert th.psi(0.5) == pytest.approx(-0.5 + math.log(2), rel=1e-12)
-
-    def test_quadratic_limit(self):
-        assert th.psi(1e-4) / 1e-8 == pytest.approx(0.5, rel=1e-4)
-
-    @given(st.floats(min_value=0.0, max_value=0.999))
-    @settings(max_examples=200)
-    def test_nonnegative(self, x):
-        assert th.psi(x) >= 0.0
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            th.psi(1.0)
-        with pytest.raises(ValueError):
-            th.psi(-0.1)
-
-
 class TestIsolationProb:
     def test_n3_k1_exact(self):
         assert th.isolation_prob(3, 1, 0.5) == pytest.approx(0.375, rel=1e-12)
@@ -237,19 +212,10 @@ class TestIsolationProb:
         vals_p = [th.isolation_prob(n, 3, p / 20) for p in range(1, 20)]
         assert all(a > b for a, b in zip(vals_p, vals_p[1:]))
 
-
-class TestAsymptoticIsolation:
-    def test_value(self):
-        assert th.asymptotic_isolation_prob(2, 0.5) == pytest.approx(
-            0.25 * math.exp(-1), rel=1e-12)
-        assert th.asymptotic_isolation_prob(2, 0.5) == pytest.approx(0.09197, abs=1e-5)
-
     def test_limit_of_finite_n(self):
+        # at fixed (K, p) the large-n limit is (1-p)^K e^(-pK)
         assert th.isolation_prob(1_000_000, 2, 0.5) == pytest.approx(
-            th.asymptotic_isolation_prob(2, 0.5), abs=1e-4)
-
-    def test_small_p_near_one(self):
-        assert th.asymptotic_isolation_prob(2, 1e-9) == pytest.approx(1.0, abs=1e-6)
+            0.25 * math.exp(-1), abs=1e-4)
 
 
 class TestCrossMomentBound:
