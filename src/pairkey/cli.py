@@ -116,23 +116,8 @@ def _json_text(obj) -> str:
     return json.dumps(_finite(obj), indent=2, sort_keys=True, allow_nan=False)
 
 
-def write_outputs(obj, path: str, fmt: str) -> None:
-    """Write an EstimateTable or report dict as csv or json.
-
-    CSV probabilities carry 6 significant digits; JSON keeps full precision
-    so a round trip reproduces the value exactly, and writes a non-finite
-    value (a skipped check's NaN) as null. Output is bit-stable for
-    fixed inputs (fixed column order, LF line endings).
-    """
-    if fmt == "csv":
-        if not isinstance(obj, mc.EstimateTable):
-            raise ValueError("csv format is only defined for sweep tables")
-        text = obj.to_csv_text()
-    elif fmt == "json":
-        payload = obj.to_json_obj() if isinstance(obj, mc.EstimateTable) else obj
-        text = _json_text(payload) + "\n"
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+def _write_text(path, text: str) -> None:
+    """Write text to path with LF line endings, whatever the platform."""
     with open(path, "w", newline="\n") as f:
         f.write(text)
 
@@ -156,8 +141,8 @@ def _sweep_config(**values) -> mc.ExperimentConfig:
 
 def _write_edges(path: Path, a, b) -> None:
     """One "i j" line per edge, 1-based, in the (sorted) order given."""
-    with open(path, "w", newline="\n") as f:
-        f.writelines(f"{i} {j}\n" for i, j in zip((a + 1).tolist(), (b + 1).tolist()))
+    _write_text(path, "".join(f"{i} {j}\n"
+                              for i, j in zip((a + 1).tolist(), (b + 1).tolist())))
 
 
 def dump_instance(n: int, K: int, p: float, seed: int, outdir: str) -> None:
@@ -180,12 +165,11 @@ def dump_instance(n: int, K: int, p: float, seed: int, outdir: str) -> None:
     _write_edges(out / "pairwise.edges", a, b)
     _write_edges(out / "intersection.edges", a[both], b[both])
     count, labels = mc.components(n, a[both], b[both], return_labels=True)
-    with open(out / "intersection.components", "w", newline="\n") as f:
-        f.write(f"# components: {count}\n")
-        f.writelines(f"{i} {lab}\n" for i, lab in enumerate(labels.tolist(), start=1))
-    with open(out / "pairing.txt", "w", newline="\n") as f:
-        f.writelines(f"{i}: {' '.join(map(str, row))}\n"
-                     for i, row in enumerate((np.sort(gamma, axis=1) + 1).tolist(), start=1))
+    _write_text(out / "intersection.components", f"# components: {count}\n" + "".join(
+        f"{i} {lab}\n" for i, lab in enumerate(labels.tolist(), start=1)))
+    _write_text(out / "pairing.txt", "".join(
+        f"{i}: {' '.join(map(str, row))}\n"
+        for i, row in enumerate((np.sort(gamma, axis=1) + 1).tolist(), start=1)))
 
 
 def _build_parser() -> _Parser:
@@ -274,7 +258,9 @@ def _run(args) -> int:
         _check_out(args.out)
         config = dataclasses.replace(config, seed=_effective_seed(config.seed))
         print(f"seed: {config.seed}", file=sys.stderr)
-        write_outputs(mc.sweep(config, workers=workers), args.out, args.format)
+        table = mc.sweep(config, workers=workers)
+        _write_text(args.out, table.to_csv_text() if args.format == "csv"
+                    else _json_text(table.to_json_obj()) + "\n")
         return 0
 
     if args.command == "theory":
@@ -297,7 +283,7 @@ def _run(args) -> int:
                 line = f"{c.name}: {c.status}"
             print(line)
         if args.out:
-            write_outputs(report.to_dict(), args.out, "json")
+            _write_text(args.out, _json_text(report.to_dict()) + "\n")
         return 0 if report.all_passed else 2
 
     if args.command == "figure":

@@ -47,9 +47,8 @@ def trial_entropy(seed: int, channel: str, n: int, k_index: int,
 
 
 def rng_from_entropy(entropy) -> np.random.Generator:
-    if isinstance(entropy, (int, np.integer)):
-        entropy = (int(entropy),)
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(entropy))))
+    """PCG64 seeded by SeedSequence(entropy), for an int or a tuple of ints."""
+    return np.random.default_rng(entropy)
 
 
 @dataclass(frozen=True)
@@ -331,7 +330,8 @@ def sweep(config: ExperimentConfig, workers: int = 1) -> EstimateTable:
 def find_crossover(table: EstimateTable, p: float, level: float = 0.5,
                    channel: Optional[str] = None) -> Optional[int]:
     """Smallest K in the sweep whose P(connected) reaches `level`; None if
-    never reached."""
+    never reached. `level` must be in (0, 1]."""
+    check_p(level, "level")
     column = table.column(p, channel=channel)
     if not column:
         raise KeyError(f"table has no cells at p={p}")

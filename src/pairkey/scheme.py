@@ -18,18 +18,16 @@ import numpy as np
 from .theory import check_nk
 
 _BLOCK = 1 << 18  # uniforms drawn at a time
-_GRID = 2.0 ** 53  # Generator.random returns integers times 2**-53
 
 
-def _smallest(u: np.ndarray, K: int, cut: float, bits: int) -> np.ndarray:
+def _smallest(u: np.ndarray, K: int, cut: float) -> np.ndarray:
     """Candidate ids of the K smallest uniforms in each row of u, as an
     (rows, K) array, in no set order.
 
-    Only entries below `cut` are looked at. Each is keyed as
-    row << bits | floor(u * 2**53), so one sort ranks every row at once, and
-    a row keeps its entries up to its K-th key. The key is exact for the
-    values Generator.random returns; for any other value, rounding down keeps
-    the order but may merge values, which shows up as a tie. A block falls
+    Only entries below `cut` are looked at. Each is keyed as row + u, so with
+    cut < 1 row r's keys lie in [r, r + 1], and one sort ranks every row at
+    once; a row keeps its entries up to its K-th key. Rounding keeps the
+    order but may merge close values, which shows up as a tie. A block falls
     back to an exact argpartition when the cut covers whole rows, a row has
     fewer than K entries below the cut, or a tie at the K-th key keeps more
     than K entries.
@@ -42,7 +40,7 @@ def _smallest(u: np.ndarray, K: int, cut: float, bits: int) -> np.ndarray:
         row = flat // m
         counts = np.bincount(row, minlength=rows)
         if counts.min() >= K:
-            key = (u.ravel()[flat] * _GRID).astype(np.int64) | row << bits
+            key = u.ravel()[flat] + row
             kth = np.sort(key)[np.cumsum(counts) - counts + K - 1]
             keep = key <= kth[row]
             if np.count_nonzero(keep) == rows * K:
@@ -65,13 +63,11 @@ def draw_partners(shape: tuple[int, ...], K: int,
     # a row expects K + 4 sqrt(K) + 4 uniforms below the cut, so about one
     # row in 10^4 falls short of K and sends its block to the fallback
     cut = (K + 4.0 * math.sqrt(K) + 4.0) / (n - 1)
-    bits = int(cut * _GRID).bit_length() if cut < 1.0 else 0
-    # a key's row field has 63 - bits bits, so a block's rows must fit in it
-    step = max(1, min(_BLOCK // (n - 1), 1 << (63 - bits)))
+    step = max(1, _BLOCK // (n - 1))
     out = np.empty((total, K), dtype=np.int64)
     for start in range(0, total, step):
         stop = min(start + step, total)
-        out[start:stop] = _smallest(rng.random((stop - start, n - 1)), K, cut, bits)
+        out[start:stop] = _smallest(rng.random((stop - start, n - 1)), K, cut)
     out = out.reshape(*shape, K)
     out += out >= np.arange(n)[:, None]
     return out

@@ -40,10 +40,11 @@ def check_real(name: str, value) -> None:
         raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
-def check_p(p: float) -> None:
-    check_real("p", p)
+def check_p(p: float, name: str = "p") -> None:
+    """A real number in (0, 1]; NaN is rejected."""
+    check_real(name, p)
     if not 0.0 < p <= 1.0:
-        raise ValueError(f"p must be in (0, 1], got {p}")
+        raise ValueError(f"{name} must be in (0, 1], got {p}")
 
 
 def check_p_open(p: float) -> None:

@@ -65,6 +65,19 @@ def exact_isolation_probability(n, K, p):
     return total / len(pairings)
 
 
+def exact_pair_isolation_probability(n, K, p):
+    """P(nodes 1 and 2 both isolated in the intersection graph), enumerating
+    all pairings: given the pairing, both are isolated iff each of the m
+    distinct keyed pairs that touch node 1 or node 2 has its channel down."""
+    pairings = all_pairings(n, K)
+    q = Fraction(1) - Fraction(p)
+    total = Fraction(0)
+    for pairing in pairings:
+        m = sum(k_adjacent(pairing, i, j) for i in (1, 2) for j in range(i + 1, n + 1))
+        total += q ** m
+    return total / len(pairings)
+
+
 def exact_isolation_probability_full_enumeration(n, K, p):
     """Same probability, but also enumerating every on/off channel state.
     Only feasible for tiny n; cross-checks the analytic channel integration."""

@@ -94,6 +94,18 @@ class TestRunTrial:
             mc.run_trial(10, 2, 0.5, "nope", 1)
 
 
+class TestRngFromEntropy:
+    @pytest.mark.parametrize("entropy", [7, np.int64(3), (0,), (2 ** 62, 0, 5),
+                                         mc.trial_entropy(42, "disk", 50, 2, 1, 7)])
+    def test_stream_is_pcg64_of_seed_sequence(self, entropy):
+        # the explicit chain every recorded stream was drawn from
+        seq = list(entropy) if isinstance(entropy, tuple) else [int(entropy)]
+        want = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seq)))
+        got = mc.rng_from_entropy(entropy)
+        assert got.bit_generator.state == want.bit_generator.state
+        assert got.random(1000).tobytes() == want.random(1000).tobytes()
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -290,6 +302,16 @@ class TestFindCrossover:
     def test_missing_p(self):
         with pytest.raises(KeyError):
             mc.find_crossover(self._table([0.5]), 0.9)
+
+    @pytest.mark.parametrize("level", [0, -1, 1.5, math.nan, True, "0.5"])
+    def test_rejects_level_outside_unit_interval(self, level):
+        # 0 and -1 would pick the first K, 1.5 and NaN would never be reached
+        with pytest.raises(ValueError, match="level"):
+            mc.find_crossover(self._table([0.1, 0.4, 0.62, 1.0]), 0.5, level=level)
+
+    def test_level_one(self):
+        assert mc.find_crossover(self._table([0.1, 0.4, 0.62, 1.0]), 0.5,
+                                 level=1.0) == 4
 
 
 class TestCompareChannels:

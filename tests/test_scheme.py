@@ -123,10 +123,10 @@ def scripted_pairing(u, K):
 
 
 class TestThresholdSelection:
-    """The sampler ranks only uniforms below a cut, by integer keys on the
-    2**-53 grid of Generator.random, and falls back to an exact ranking where
-    that cannot decide a block; either way it must pick what one whole-array
-    argpartition picks."""
+    """The sampler ranks only uniforms below a cut, keyed row + u so that one
+    sort orders every row of a block, and falls back to an exact ranking
+    where that cannot decide a block; either way it must pick what one
+    whole-array argpartition picks."""
 
     def test_row_short_of_candidates(self):
         u = rng(1).random((20, 19))
@@ -157,6 +157,22 @@ class TestThresholdSelection:
             got, want = scripted_pairing(u, K)
             assert got == want
         assert scripted_pairing(u, 1)[0][8] == {12}
+
+    def test_row_just_below_cut_then_row_at_zero(self):
+        # row 5's keys sit just below 5 + cut and row 6's at exactly 6.0, so
+        # the rows meet in the one sort; each must still rank on its own
+        n, K = 20, 2
+        cut = (K + 4 * math.sqrt(K) + 4) / (n - 1)
+        u = rng(4).random((n, n - 1))
+        u[5] = 0.99
+        u[5, [2, 7, 11]] = np.nextafter(cut, 0.0) - np.array([3, 1, 2]) * 2.0 ** -40
+        u[6, [0, 4]] = 0.0
+        want = partner_list(partners_from_uniforms(u, K))
+        with mock.patch.object(np, "argpartition", side_effect=AssertionError):
+            got = partner_list(sample_gamma_matrix(n, K, ScriptedRng(u)))
+        assert got == want
+        # columns 2 and 11 of node 5 are nodes 2 and 12
+        assert got[5] == {2, 12} and got[6] == {0, 4}
 
     def test_threshold_path_decides_ordinary_blocks(self):
         # none of these draws needs the exact fallback

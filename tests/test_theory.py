@@ -1,12 +1,14 @@
 import json
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pairkey import theory as th
 
-from oracles import exact_isolation_probability, exact_link_probability
+from oracles import (exact_isolation_probability, exact_link_probability,
+                     exact_pair_isolation_probability)
 
 interior_p = st.floats(min_value=1e-6, max_value=1 - 1e-6, allow_nan=False)
 
@@ -235,6 +237,28 @@ class TestCrossMomentBound:
     def test_p1_rejected(self):
         with pytest.raises(ValueError):
             th.cross_moment_ratio_bound(5, 2, 1.0)
+
+    @staticmethod
+    def exact_ratio(n, K, p):
+        """E[chi_1 chi_2] / E[chi_1]^2 by enumerating every pairing."""
+        return float(exact_pair_isolation_probability(n, K, p)
+                     / exact_isolation_probability(n, K, p) ** 2)
+
+    def test_pair_oracle_on_complete_graph(self):
+        # K = n-1 keys every pair: 2n-3 pairs touch nodes 1 or 2, n-1 touch 1
+        assert exact_pair_isolation_probability(5, 4, 0.3) == \
+            exact_isolation_probability(5, 4, 0.3) ** 2 / (1 - Fraction(0.3))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_above_exact_ratio(self, n):
+        for K in range(1, n):
+            for p in (0.05, 0.1, 0.3, 0.5, 0.6, 0.9, 0.99):
+                assert th.cross_moment_ratio_bound(n, K, p) > self.exact_ratio(n, K, p)
+
+    def test_exact_ratio_values(self):
+        # the bound is loose: 1.7412 and 4.7120 at these points
+        assert self.exact_ratio(5, 2, 0.3) == pytest.approx(1.2812, abs=1e-4)
+        assert self.exact_ratio(5, 3, 0.6) == pytest.approx(2.2598, abs=1e-4)
 
 
 class TestEstar:
