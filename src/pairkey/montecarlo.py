@@ -4,11 +4,12 @@ errors, crossover extraction, and the bound-validation suite.
 A trial's graph is held as sorted edge arrays (a, b), a < b: the keyed pairs
 of the pairing, filtered by the channel. A trial builds no n x n array.
 It still draws all n(n-1) pairing uniforms and, on on/off, all C(n,2) link
-uniforms, but a block at a time, keeping only what each block decides: the
-chosen partners and the links of keyed pairs. The disk channel computes
-distances at the keyed pairs only. So a trial takes O(nK + block) memory.
+uniforms, but a block at a time (scheme.uniform_rows), keeping only what
+each block decides: the chosen partners and the links of keyed pairs. The
+disk channel computes distances at the keyed pairs only. So a trial takes
+O(nK + block) memory.
 (validate_bounds, for small n only, runs dense matrices over tiles of
-samples instead; estimate_edge_prob draws its uniforms in blocks too.)
+samples instead; estimate_edge_prob reads uniform_rows too.)
 
 Every trial is seeded by a counter-based derivation from
 (master seed, channel tag, n, K-index, p-index, trial index), so results are
@@ -20,10 +21,9 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
-from itertools import combinations
+from itertools import combinations, product
 from typing import Optional
 
 import numpy as np
@@ -32,7 +32,7 @@ from scipy.sparse.csgraph import connected_components as _sparse_components
 
 from . import theory
 from .channels import match_rho, toroidal_distance_matrix
-from .scheme import _BLOCK, draw_partners, sample_gamma_matrix
+from .scheme import draw_partners, sample_gamma_matrix, uniform_rows
 from .theory import check_channel, check_int, check_nk, check_p
 
 _CHANNEL_TAGS = {"on_off": 1, "disk": 2, "disk_forced": 3}
@@ -113,12 +113,10 @@ def onoff_links(n: int, p: float, idx: np.ndarray,
     True where the link is up. The channel draws one uniform per pair, in
     pair_index order, after the pairing; they are drawn a block at a time and
     each block is read only at the indices that fall in it."""
-    m = n * (n - 1) // 2
     up = np.empty(idx.size, dtype=bool)
-    for start in range(0, m, _BLOCK):
-        u = rng.random(min(_BLOCK, m - start))
-        lo, hi = np.searchsorted(idx, (start, start + u.size))
-        up[lo:hi] = u[idx[lo:hi] - start] < p
+    for start, u in uniform_rows(rng, n * (n - 1) // 2, 1):
+        lo, hi = np.searchsorted(idx, (start, start + len(u)))
+        up[lo:hi] = u[idx[lo:hi] - start, 0] < p
     return up
 
 
@@ -248,9 +246,13 @@ class EstimateTable:
         raise KeyError(f"no cell for channel={channel}, K={K}, p={p}")
 
     def column(self, p: float, channel: Optional[str] = None) -> list[CellEstimate]:
-        """All cells at a given p, ascending in K."""
+        """All cells at a given p, ascending in K; `channel` may be left out
+        only when the cells at p come from one channel."""
         out = [r for r in self.rows
                if math.isclose(r.p, p) and (channel is None or r.channel == channel)]
+        channels = sorted({r.channel for r in out})
+        if len(channels) > 1:
+            raise ValueError(f"cells at p={p} come from channels {channels}; name one")
         return sorted(out, key=lambda r: r.K)
 
     def to_csv_text(self) -> str:
@@ -271,9 +273,9 @@ class EstimateTable:
                               for d in obj))
 
 
-def _run_cell(args) -> tuple[int, int, int, int]:
-    """Worker: trials [start, stop) of one grid cell. Returns (k_index,
-    p_index, count_connected, count_no_isolated) over those trials."""
+def _run_cell(args) -> tuple[int, int]:
+    """Worker: trials [start, stop) of one grid cell. Returns
+    (count_connected, count_no_isolated) over those trials."""
     n, K, p, seed, channel, k_index, p_index, start, stop = args
     conn = noiso = 0
     for t in range(start, stop):
@@ -281,7 +283,7 @@ def _run_cell(args) -> tuple[int, int, int, int]:
                         trial_entropy(seed, channel, n, k_index, p_index, t))
         conn += out.connected
         noiso += out.isolated_count == 0
-    return k_index, p_index, conn, noiso
+    return conn, noiso
 
 
 def pool_size(workers: int, units: int) -> int:
@@ -298,7 +300,8 @@ def sweep(config: ExperimentConfig, workers: int = 1) -> EstimateTable:
     A pool's work items are blocks of one cell's trials. Each cell is cut
     into as many blocks as make about four items per worker, at most one per
     trial, so a grid of few cells keeps every worker busy. One process runs
-    each cell whole."""
+    each cell whole. Results come back in job order, so job j adds to cell
+    j // blocks, cells in (p, K) grid order."""
     cells = len(config.K_grid) * len(config.p_grid)
     workers = pool_size(workers, cells * config.trials)
     blocks = 1 if workers == 1 else min(config.trials, math.ceil(4 * workers / cells))
@@ -314,17 +317,13 @@ def sweep(config: ExperimentConfig, workers: int = 1) -> EstimateTable:
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_cell, jobs, chunksize=1))
-
-    conn, noiso = Counter(), Counter()
-    for ki, pi, c, i in results:
-        conn[ki, pi] += c
-        noiso[ki, pi] += i
+    counts = np.reshape(results, (cells, blocks, 2)).sum(axis=1).tolist()
     return EstimateTable(rows=tuple(
-        CellEstimate(channel=config.channel, n=config.n, K=config.K_grid[ki],
-                     p=config.p_grid[pi], trials=config.trials,
-                     count_connected=conn[ki, pi], count_no_isolated=noiso[ki, pi],
-                     seed=config.seed)
-        for ki, pi in conn))
+        CellEstimate(channel=config.channel, n=config.n, K=K, p=p,
+                     trials=config.trials, count_connected=conn,
+                     count_no_isolated=noiso, seed=config.seed)
+        for (p, K), (conn, noiso) in zip(product(config.p_grid, config.K_grid),
+                                         counts)))
 
 
 def find_crossover(table: EstimateTable, p: float, level: float = 0.5,
@@ -359,16 +358,15 @@ def estimate_edge_prob(n: int, K: int, p: float, trials: int,
     # a chunk's t pairing draws come before its t link uniforms, so the chunk
     # size sets the stream; the pairing draws are read a block at a time
     chunk = max(1024, min(trials, int(4e6 / (2 * (n - 1)))))
-    step = max(1, _BLOCK // (2 * (n - 1)))
     for done in range(0, trials, chunk):
         t = min(chunk, trials - done)
         keyed = np.empty(t, dtype=bool)
-        for start in range(0, t, step):
-            u = rng.random((min(step, t - start), 2, n - 1))
+        for start, u in uniform_rows(rng, t, 2 * (n - 1)):
+            u = u.reshape(-1, 2, n - 1)
             # node 2 is candidate 0 of node 1, node 1 is candidate 0 of
             # node 2: either picked the other iff its rank is below K
             ranks = np.count_nonzero(u < u[:, :, :1], axis=2)
-            keyed[start:start + u.shape[0]] = (ranks < K).any(axis=1)
+            keyed[start:start + len(u)] = (ranks < K).any(axis=1)
         b = rng.random(t) < p
         hits += int(np.count_nonzero(keyed & b))
     return hits / trials, _binomial_stderr(hits / trials, trials)
@@ -485,19 +483,14 @@ def validate_bounds(n: int, K: int, p: float, samples: int,
     e_mean = theory.estar_mean(n, r, K)
     tail_cut = (1.0 - TAIL_T) * e_mean
     # the chunk size sets the stream: a chunk's pairings, then its links;
-    # the tile size sets only how many samples' dense matrices exist at once
+    # a block of link uniforms sets only how many dense matrices exist at once
     chunk = max(1000, min(samples, int(2e6 / (n * n))))
-    tile = max(1, _BLOCK // (n * n))
     tally = np.zeros(13, dtype=np.int64)
     for done in range(0, samples, chunk):
         t = min(chunk, samples - done)
         gamma0 = draw_partners((t, n), K, rng)
-        for s in range(0, t, tile):
-            g = gamma0[s:s + tile]
-            # the chunk's channel uniforms, (t, C(n,2)) after all its
-            # pairings, are drawn one tile of rows at a time
-            ub = rng.random((len(g), n * (n - 1) // 2))
-            tally += _dense_tile(g, ub, p, r, tail_cut)
+        for s, ub in uniform_rows(rng, t, n * (n - 1) // 2):
+            tally += _dense_tile(gamma0[s:s + len(ub)], ub, p, r, tail_cut)
     (s_edge, s_pair, s_chi1, s_chi12, s_x, s_y, s_xy,
      c0, c1, c2, s_e, s_e2, s_tail) = tally.tolist()
 

@@ -4,9 +4,9 @@ Each of the n nodes independently picks a uniform set of K partners among the
 other n-1 nodes. Two nodes share a key iff at least one picked the other.
 
 Node i ranks its n-1 candidates by i.i.d. uniforms and keeps the K smallest.
-The uniforms are drawn a block of rows at a time and only each row's chosen
-candidates are kept, so a pairing of n nodes takes O(nK + block) memory,
-while the random stream is exactly that of one (n, n-1) draw.
+The uniforms are drawn a block of rows at a time (uniform_rows) and only each
+row's chosen candidates are kept, so a pairing of n nodes takes O(nK + block)
+memory, while the random stream is exactly that of one (n, n-1) draw.
 """
 
 from __future__ import annotations
@@ -20,21 +20,32 @@ from .theory import check_nk
 _BLOCK = 1 << 18  # uniforms drawn at a time
 
 
-def _smallest(u: np.ndarray, K: int, cut: float) -> np.ndarray:
+def uniform_rows(rng: np.random.Generator, rows: int, width: int):
+    """The one blocked draw: (first_row, block) pairs, the blocks being the
+    successive rows of rng.random((rows, width)), max(1, _BLOCK // width) rows
+    at most. The stream does not depend on the block size."""
+    step = max(1, _BLOCK // width)
+    for start in range(0, rows, step):
+        yield start, rng.random((min(step, rows - start), width))
+
+
+def _smallest(u: np.ndarray, K: int) -> np.ndarray:
     """Candidate ids of the K smallest uniforms in each row of u, as an
     (rows, K) array, in no set order.
 
-    Only entries below `cut` are looked at. Each is keyed as row + u, so with
-    cut < 1 row r's keys lie in [r, r + 1], and one sort ranks every row at
-    once; a row keeps its entries up to its K-th key. Rounding keeps the
-    order but may merge close values, which shows up as a tie. A block falls
-    back to an exact argpartition when the cut covers whole rows, a row has
-    fewer than K entries below the cut, or a tie at the K-th key keeps more
-    than K entries.
+    Only entries below the cut (K + 4 sqrt(K) + 4) / m, m = u.shape[1], are
+    looked at: a row expects K + 4 sqrt(K) + 4 of them, so about one row in
+    10^4 falls short of K. Each is keyed as row + u, so with cut < 1 row r's
+    keys lie in [r, r + 1], and one sort ranks every row at once; a row keeps
+    its entries up to its K-th key. Rounding keeps the order but may merge
+    close values, which shows up as a tie. A block falls back to an exact
+    argpartition when the cut covers whole rows, a row has fewer than K
+    entries below the cut, or a tie at the K-th key keeps more than K entries.
     """
     rows, m = u.shape
     if K == m:
         return np.broadcast_to(np.arange(m), u.shape)
+    cut = (K + 4.0 * math.sqrt(K) + 4.0) / m
     if cut < 1.0:
         flat = np.flatnonzero(u < cut)
         row = flat // m
@@ -54,20 +65,14 @@ def draw_partners(shape: tuple[int, ...], K: int,
     n = shape[-1] nodes: row (..., i) holds the K partners of node i.
 
     Draws the same uniforms, in the same order, as rng.random((*shape, n-1)),
-    one block of rows at a time, and keeps only each row's chosen candidates.
+    through uniform_rows, and keeps only each row's chosen candidates.
     Candidate c of node i maps to node c if c < i else c + 1, so no node
     picks itself. A row's partners come in no set order.
     """
     n = shape[-1]
-    total = math.prod(shape)
-    # a row expects K + 4 sqrt(K) + 4 uniforms below the cut, so about one
-    # row in 10^4 falls short of K and sends its block to the fallback
-    cut = (K + 4.0 * math.sqrt(K) + 4.0) / (n - 1)
-    step = max(1, _BLOCK // (n - 1))
-    out = np.empty((total, K), dtype=np.int64)
-    for start in range(0, total, step):
-        stop = min(start + step, total)
-        out[start:stop] = _smallest(rng.random((stop - start, n - 1)), K, cut)
+    out = np.empty((math.prod(shape), K), dtype=np.int64)
+    for start, u in uniform_rows(rng, len(out), n - 1):
+        out[start:start + len(u)] = _smallest(u, K)
     out = out.reshape(*shape, K)
     out += out >= np.arange(n)[:, None]
     return out

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pairkey import montecarlo as mc
+from pairkey import scheme
 from pairkey import theory as th
 from pairkey.channels import match_rho
 
@@ -165,21 +166,27 @@ class TestSweep:
         assert t1 == t2
         assert t1.to_csv_text() == t2.to_csv_text()
 
-    @pytest.mark.parametrize("K_grid,trials", [((3,), 7), ((2, 3, 4), 2)])
-    def test_trial_blocks_match_a_plain_loop(self, K_grid, trials):
+    @pytest.mark.parametrize("K_grid,p_grid,trials", [
+        pytest.param((3,), (0.5,), 7, id="K_grid0-7"),
+        pytest.param((2, 3, 4), (0.5,), 2, id="K_grid1-2"),
+        pytest.param((2, 3, 4), (0.3, 0.7), 3, id="two_p_three_K"),
+    ])
+    def test_trial_blocks_match_a_plain_loop(self, K_grid, p_grid, trials):
         # at 2 and 3 workers every cell is cut into blocks of trials: 7 blocks
-        # of the one cell, or 2 of each of the three
-        cfg = mc.ExperimentConfig(n=25, K_grid=K_grid, p_grid=(0.5,),
+        # of the one cell, or 2 of each of the three or six; with two p values
+        # a sum that took K for p would give other counts
+        cfg = mc.ExperimentConfig(n=25, K_grid=K_grid, p_grid=p_grid,
                                   trials=trials, seed=77)
         tables = [mc.sweep(cfg, workers=w) for w in (1, 2, 3)]
         assert {t.to_csv_text() for t in tables} == {tables[0].to_csv_text()}
-        for ki, K in enumerate(K_grid):
-            outs = [mc.run_trial(cfg.n, K, 0.5, cfg.channel,
-                                 mc.trial_entropy(cfg.seed, cfg.channel, cfg.n, ki, 0, t))
+        for (pi, p), (ki, K) in product(enumerate(p_grid), enumerate(K_grid)):
+            outs = [mc.run_trial(cfg.n, K, p, cfg.channel,
+                                 mc.trial_entropy(cfg.seed, cfg.channel, cfg.n, ki, pi, t))
                     for t in range(trials)]
-            r = tables[2].cell(cfg.channel, K, 0.5)
-            assert r.count_connected == sum(o.connected for o in outs)
-            assert r.count_no_isolated == sum(o.isolated_count == 0 for o in outs)
+            for table in tables[1:]:
+                r = table.cell(cfg.channel, K, p)
+                assert r.count_connected == sum(o.connected for o in outs)
+                assert r.count_no_isolated == sum(o.isolated_count == 0 for o in outs)
 
     def test_containment_per_cell(self):
         for r in mc.sweep(SMALL).rows:
@@ -315,6 +322,23 @@ class TestFindCrossover:
 
 
 class TestCompareChannels:
+    def test_mixed_channels_need_a_channel(self):
+        # P(connected) reaches 0.4 at K=3 on/off (0.42) and at K=4 on
+        # disk_forced (0.30 at K=3); without a channel the column would mix
+        # them and the crossover read the on/off K=3
+        cfg = mc.ExperimentConfig(n=30, K_grid=(1, 2, 3, 4), p_grid=(0.5,),
+                                  trials=100, seed=3)
+        t_on = mc.sweep(cfg)
+        t_disk = mc.sweep(replace(cfg, channel="disk_forced"))
+        both = mc.EstimateTable(rows=t_on.rows + t_disk.rows)
+        assert mc.find_crossover(both, 0.5, 0.4, channel="on_off") == \
+            mc.find_crossover(t_on, 0.5, 0.4) == 3
+        assert mc.find_crossover(both, 0.5, 0.4, channel="disk_forced") == \
+            mc.find_crossover(t_disk, 0.5, 0.4) == 4
+        for read in (lambda: both.column(0.5), lambda: mc.find_crossover(both, 0.5, 0.4)):
+            with pytest.raises(ValueError, match="disk_forced.*on_off"):
+                read()
+
     def test_same_channel_zero_delta(self):
         t1 = mc.sweep(SMALL)
         t2 = mc.sweep(SMALL)
@@ -453,8 +477,9 @@ class TestValidateBounds:
                                oracles.validate_columns(n, K, p, samples, seed))
 
     def test_tiles_that_cut_chunks_match_column_form(self, monkeypatch):
-        # 7 samples per tile, so the 20,000-sample chunk ends in a short tile
-        monkeypatch.setattr(mc, "_BLOCK", 7 * 25)
+        # 7 samples per tile, so the 20,000-sample chunk ends in a short tile;
+        # the partner draw is cut into blocks of 17 rows too
+        monkeypatch.setattr(scheme, "_BLOCK", 7 * 10)
         for p in (0.5, 0.45):
             assert_matches_columns(mc.validate_bounds(5, 2, p, 20_000, 12),
                                    oracles.validate_columns(5, 2, p, 20_000, 12))

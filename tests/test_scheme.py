@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 from itertools import combinations
 from unittest import mock
 
@@ -8,11 +9,13 @@ import numpy as np
 import pytest
 
 from pairkey import montecarlo as mc
+from pairkey import scheme
 from pairkey.cli import dump_instance
 from pairkey.montecarlo import degrees, estimate_edge_prob, keyed_pairs
-from pairkey.scheme import draw_partners, sample_gamma_matrix
+from pairkey.scheme import draw_partners, sample_gamma_matrix, uniform_rows
 
 from oracles import ScriptedRng, key_rings, partner_sets, partners_from_uniforms
+from test_stream_pins import DUMP_FILES
 
 
 def rng(seed=12345):
@@ -193,6 +196,37 @@ class TestThresholdSelection:
         text = json.dumps(report.to_dict(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == \
             "9f05230db796db0edf45df65ed7b00490594ef6585818aac647e01ee9a65a3bb"
+
+
+def blocked_outputs(outdir):
+    """Every output that reads uniform_rows: sweep CSVs on both channel
+    kinds, the edge estimate, the bound report and the dump files."""
+    cfg = mc.ExperimentConfig(n=30, K_grid=(1, 3), p_grid=(0.3, 0.6), trials=6, seed=9)
+    out = [mc.sweep(replace(cfg, channel=c)).to_csv_text()
+           for c in ("on_off", "disk_forced")]
+    out.append(estimate_edge_prob(40, 3, 0.3, 3000, 8))
+    out.append(mc.validate_bounds(6, 2, 0.4, 3000, 8).to_dict())
+    dump_instance(30, 3, 0.4, 5, str(outdir))
+    out += [(outdir / name).read_bytes() for name in DUMP_FILES]
+    return out
+
+
+class TestUniformRows:
+    @pytest.mark.parametrize("rows,width", [(10, 3), (1, 1), (7, 100), (0, 4)])
+    def test_blocks_are_rows_of_one_draw(self, monkeypatch, rows, width):
+        monkeypatch.setattr(scheme, "_BLOCK", 12)
+        blocks = list(uniform_rows(rng(3), rows, width))
+        step = max(1, 12 // width)
+        assert [s for s, _ in blocks] == list(range(0, rows, step))
+        assert all(len(u) <= step for _, u in blocks)
+        whole = rng(3).random((rows, width))
+        assert np.array_equal(np.concatenate([u for _, u in blocks] or [whole]), whole)
+
+    @pytest.mark.parametrize("block", [7, 64])
+    def test_outputs_do_not_depend_on_block_size(self, monkeypatch, tmp_path, block):
+        want = blocked_outputs(tmp_path / "default")
+        monkeypatch.setattr(scheme, "_BLOCK", block)
+        assert blocked_outputs(tmp_path / "patched") == want
 
 
 class TestKeyRings:
