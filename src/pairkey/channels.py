@@ -1,7 +1,7 @@
-"""Communication models: the on/off channel, where each link is up
-independently with probability p, and the disk model on the unit torus, plus
-the rule matching their edge probabilities. Disk distances are computed only
-at the pairs asked for, so a trial never holds an n x n array.
+"""Communication models: the disk model on the unit torus, and the rule
+matching its edge probability to p, the on/off channel's link probability
+(the on/off draw is montecarlo.onoff_links). Disk distances are computed
+only at the pairs asked for, so a trial never holds an n x n array.
 """
 
 from __future__ import annotations

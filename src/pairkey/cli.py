@@ -10,14 +10,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import numbers
 import os
 import secrets
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import montecarlo as mc
 from . import theory
@@ -100,20 +97,10 @@ def _effective_seed(seed: int) -> int:
     return seed or secrets.randbits(63) or 1
 
 
-def _finite(obj):
-    """obj with every non-finite float, which JSON cannot write, as None."""
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {k: _finite(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_finite(v) for v in obj]
-    return obj
-
-
 def _json_text(obj) -> str:
-    """obj as strict JSON: keys sorted, non-finite floats as null."""
-    return json.dumps(_finite(obj), indent=2, sort_keys=True, allow_nan=False)
+    """obj as strict JSON, keys sorted: None is null, and a NaN or infinity
+    raises ValueError."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
 
 
 def _write_text(path, text: str) -> None:
@@ -148,28 +135,19 @@ def _write_edges(path: Path, a, b) -> None:
 def dump_instance(n: int, K: int, p: float, seed: int, outdir: str) -> None:
     """Write edge lists for one channel graph, one key-sharing graph, and
     their intersection, plus the intersection's component labels and the
-    pairing (partners ascending). The draws are the on/off trial's: pairing,
-    then one uniform per pair."""
-    theory.check_nk(n, K)
-    theory.check_p(p)
-    theory.check_int("seed", seed, 0)
+    pairing (partners ascending), of montecarlo.sample_instance."""
+    partners, keyed, channel, (a, b) = mc.sample_instance(n, K, p, seed)
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    rng = mc.rng_from_entropy((seed, 201, n, K))
-    gamma = mc.sample_gamma_matrix(n, K, rng)
-    a, b = mc.keyed_pairs(gamma)
-    up = mc.onoff_links(n, p, np.arange(n * (n - 1) // 2), rng)
-    both = up[mc.pair_index(n, a, b)]
-    iu, ju = np.triu_indices(n, k=1)
-    _write_edges(out / "channel.edges", iu[up], ju[up])
-    _write_edges(out / "pairwise.edges", a, b)
-    _write_edges(out / "intersection.edges", a[both], b[both])
-    count, labels = mc.components(n, a[both], b[both], return_labels=True)
+    _write_edges(out / "channel.edges", *channel)
+    _write_edges(out / "pairwise.edges", *keyed)
+    _write_edges(out / "intersection.edges", a, b)
+    count, labels = mc.components(n, a, b, return_labels=True)
     _write_text(out / "intersection.components", f"# components: {count}\n" + "".join(
         f"{i} {lab}\n" for i, lab in enumerate(labels.tolist(), start=1)))
     _write_text(out / "pairing.txt", "".join(
         f"{i}: {' '.join(map(str, row))}\n"
-        for i, row in enumerate((np.sort(gamma, axis=1) + 1).tolist(), start=1)))
+        for i, row in enumerate((partners + 1).tolist(), start=1)))
 
 
 def _build_parser() -> _Parser:
@@ -276,12 +254,10 @@ def _run(args) -> int:
                                     samples=args.samples, seed=seed)
         print(f"seed: {seed}", file=sys.stderr)
         for c in report.checks:
-            line = (f"{c.name}: empirical={c.empirical:.6g} "
-                    f"reference={c.reference:.6g} sigma={c.sigma:.6g} "
-                    f"[{c.kind}] {'PASS' if c.passed else 'FAIL'}")
-            if c.status != "checked":
-                line = f"{c.name}: {c.status}"
-            print(line)
+            print(f"{c.name}: {c.status}" if c.status != "checked" else
+                  f"{c.name}: empirical={c.empirical:.6g} "
+                  f"reference={c.reference:.6g} sigma={c.sigma:.6g} "
+                  f"[{c.kind}] {'PASS' if c.passed else 'FAIL'}")
         if args.out:
             _write_text(args.out, _json_text(report.to_dict()) + "\n")
         return 0 if report.all_passed else 2

@@ -178,6 +178,23 @@ def run_trial(n: int, K: int, p: float, channel: str, trial_seed) -> TrialOutcom
     return TrialOutcome(connected=connected, isolated_count=iso, edge_count=int(a.size))
 
 
+def sample_instance(n: int, K: int, p: float, seed: int):
+    """The on/off instance `pairkey dump-instance` writes, seeded by
+    (seed, 201, n, K): the partners (n, K), each row ascending, then the
+    key-sharing, channel and intersection graphs as sorted edge arrays
+    (a, b), a < b. It draws the pairing, then one uniform per pair."""
+    check_nk(n, K)
+    check_p(p)
+    check_int("seed", seed, 0)
+    rng = rng_from_entropy((seed, 201, n, K))
+    gamma = sample_gamma_matrix(n, K, rng)
+    a, b = keyed_pairs(gamma)
+    up = onoff_links(n, p, np.arange(n * (n - 1) // 2), rng)
+    both = up[pair_index(n, a, b)]
+    iu, ju = np.triu_indices(n, k=1)
+    return np.sort(gamma, axis=1), (a, b), (iu[up], ju[up]), (a[both], b[both])
+
+
 def _binomial_stderr(q: float, trials: int) -> float:
     """Standard error of a rate q observed over `trials` Bernoulli trials."""
     return math.sqrt(q * (1.0 - q) / trials)
@@ -374,10 +391,12 @@ def estimate_edge_prob(n: int, K: int, p: float, trials: int,
 
 @dataclass(frozen=True)
 class BoundCheck:
+    """A skipped check has passed=True and None for each number it lacks."""
+
     name: str
-    empirical: float
-    reference: float
-    sigma: float
+    empirical: float | None
+    reference: float | None
+    sigma: float | None
     kind: str  # "two_sided" | "upper"
     passed: bool
     status: str = "checked"
@@ -394,7 +413,6 @@ class ValidationReport:
 
     @property
     def all_passed(self) -> bool:
-        # a skipped check is built with passed=True
         return all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
@@ -512,13 +530,13 @@ def validate_bounds(n: int, K: int, p: float, samples: int,
     u_sq = theory.u_n(n, K, p) ** 2
     checks.append(_check("b_leq_u_squared", b_hat, u_sq, math.sqrt(b_var / T), "upper"))
 
-    bound = theory.cross_moment_ratio_bound(n, K, p) if p < 1.0 else float("nan")
+    bound = theory.cross_moment_ratio_bound(n, K, p) if p < 1.0 else None
     skip = ("undefined at p=1" if p == 1.0
             else "no isolation events observed" if s_chi1 == 0 else None)
     if skip:
         checks.append(BoundCheck(
-            name="cross_moment_ratio", empirical=float("nan"), reference=bound,
-            sigma=float("nan"), kind="upper", passed=True, status=f"skipped: {skip}"))
+            name="cross_moment_ratio", empirical=None, reference=bound,
+            sigma=None, kind="upper", passed=True, status=f"skipped: {skip}"))
     else:
         a_hat, c_hat = s_chi12 / T, s_chi1 / T
         ratio = a_hat / (c_hat * c_hat)

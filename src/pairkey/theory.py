@@ -177,7 +177,8 @@ def predicted_threshold_K(n: int, p: float) -> float:
 
 @dataclass(frozen=True)
 class TheoryReport:
-    """Every closed form evaluated at one parameter point (n, K, p)."""
+    """Every closed form evaluated at one parameter point (n, K, p); the
+    four that need p < 1 are None at p = 1."""
 
     n: int
     K: int
@@ -185,12 +186,12 @@ class TheoryReport:
     lambda_n: float
     edge_prob: float
     c_n: float
-    alpha_n: float
+    alpha_n: float | None
     tau: float
-    tau_hat: float
+    tau_hat: float | None
     isolation_prob: float
-    predicted_threshold_K: float
-    cross_moment_bound: float
+    predicted_threshold_K: float | None
+    cross_moment_bound: float | None
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -207,10 +208,10 @@ def theory_report(n: int, K: int, p: float) -> TheoryReport:
         lambda_n=lambda_n(n, K),
         edge_prob=edge_prob(n, K, p),
         c_n=scaling_c_n(n, K, p),
-        alpha_n=alpha_n(n, K, p) if interior else float("nan"),
+        alpha_n=alpha_n(n, K, p) if interior else None,
         tau=tau(p),
-        tau_hat=tau_hat(p) if interior else float("nan"),
+        tau_hat=tau_hat(p) if interior else None,
         isolation_prob=isolation_prob(n, K, p),
-        predicted_threshold_K=predicted_threshold_K(n, p) if interior else float("nan"),
-        cross_moment_bound=cross_moment_ratio_bound(n, K, p) if interior else float("nan"),
+        predicted_threshold_K=predicted_threshold_K(n, p) if interior else None,
+        cross_moment_bound=cross_moment_ratio_bound(n, K, p) if interior else None,
     )

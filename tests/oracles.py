@@ -317,13 +317,13 @@ def validate_columns(n, K, p, samples, seed):
     b_var = max(s_b2 / T - b_hat * b_hat, 0.0)
     checks.append(_check("b_leq_u_squared", b_hat, theory.u_n(n, K, p) ** 2,
                          math.sqrt(b_var / T), "upper"))
-    bound = theory.cross_moment_ratio_bound(n, K, p) if p < 1.0 else float("nan")
+    bound = theory.cross_moment_ratio_bound(n, K, p) if p < 1.0 else None
     skip = ("undefined at p=1" if p == 1.0
             else "no isolation events observed" if s_chi1 == 0 else None)
     if skip:
         checks.append(BoundCheck(
-            name="cross_moment_ratio", empirical=float("nan"), reference=bound,
-            sigma=float("nan"), kind="upper", passed=True, status=f"skipped: {skip}"))
+            name="cross_moment_ratio", empirical=None, reference=bound,
+            sigma=None, kind="upper", passed=True, status=f"skipped: {skip}"))
     else:
         a_hat, c_hat = s_chi12 / T, s_chi1 / T
         ratio = a_hat / (c_hat * c_hat)

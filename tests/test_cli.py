@@ -488,3 +488,10 @@ def test_readme_commands_parse():
         if args.command == "figure":
             # the arguments after the name are those of the command it runs
             parser.parse_args(cli.FIGURES[args.name] + args.args)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_json_text_rejects_non_finite(value):
+    # undefined values reach the writer as None; any other NaN is a fault
+    with pytest.raises(ValueError):
+        cli._json_text({"x": [1.0, value]})

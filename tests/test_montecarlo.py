@@ -506,3 +506,34 @@ def assert_matches_columns(report, reference):
                 assert math.isnan(expect), (got.name, field)
             else:
                 assert value == expect, (got.name, field)
+
+
+class TestSampleInstance:
+    @pytest.mark.parametrize("n,K,p,seed", [(2, 1, 0.5, 3), (6, 5, 0.7, 4),
+                                            (12, 3, 1.0, 2), (30, 3, 0.4, 5),
+                                            (50, 5, 0.2, 42)])
+    def test_matches_oracle(self, n, K, p, seed):
+        partners, *graphs = mc.sample_instance(n, K, p, seed)
+        want = oracles.sample_instance(n, K, p, "on_off",
+                                       mc.rng_from_entropy((seed, 201, n, K)))
+        assert [set(row) for row in partners.tolist()] == want[0]
+        assert (np.diff(partners, axis=1) > 0).all()
+        for (a, b), pairs in zip(graphs, want[1:]):
+            assert list(zip(a.tolist(), b.tolist())) == sorted(pairs)
+
+
+class TestIsolatedCountMean:
+    # E[isolated_count] = n * isolation_prob on both channels: on disk,
+    # rho < 1/2 and the positions are i.i.d. on the torus, so a node's
+    # links to its keyed partners are independent Bernoulli(p) as on on/off
+    @pytest.mark.parametrize("channel", ["on_off", "disk"])
+    @pytest.mark.parametrize("index,K,p", [(0, 4, 0.3), (1, 8, 0.3), (2, 2, 0.6)])
+    def test_within_three_sigma(self, channel, index, K, p):
+        n, trials = 200, 400
+        counts = np.array([
+            mc.run_trial(n, K, p, channel,
+                         mc.trial_entropy(SEED, channel, n, index, 0, t)).isolated_count
+            for t in range(trials)])
+        sigma = counts.std(ddof=1) / math.sqrt(trials)
+        assert sigma > 0
+        assert abs(counts.mean() - n * th.isolation_prob(n, K, p)) <= 3 * sigma
