@@ -3,6 +3,9 @@ figure presets, and instance dumps.
 
 Exit status: 0 success, 1 usage or I/O error (one "error: ..." line on
 stderr), 2 validation-suite failure.
+
+Each command imports montecarlo (numpy, and scipy when it needs it) only if
+it uses it, so `theory`, `--help` and a usage error load neither.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import secrets
 import sys
 from pathlib import Path
 
-from . import montecarlo as mc
 from . import theory
 
 # simulate's defaults are the figure grid; dump-instance's are the
@@ -117,8 +119,9 @@ def _check_out(path: str) -> None:
         raise ValueError(f"cannot write {path}: not a file in a writable directory")
 
 
-def _sweep_config(**values) -> mc.ExperimentConfig:
+def _sweep_config(**values):
     """simulate's defaults, updated by `values`, as a checked config."""
+    from . import montecarlo as mc
     values = {**_SIM_DEFAULTS, **values}
     return mc.ExperimentConfig(
         n=values["n"], K_grid=_grid("K", values["K"], parse_k_values),
@@ -136,6 +139,7 @@ def dump_instance(n: int, K: int, p: float, seed: int, outdir: str) -> None:
     """Write edge lists for one channel graph, one key-sharing graph, and
     their intersection, plus the intersection's component labels and the
     pairing (partners ascending), of montecarlo.sample_instance."""
+    from . import montecarlo as mc
     partners, keyed, channel, (a, b) = mc.sample_instance(n, K, p, seed)
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
@@ -196,7 +200,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _simulate_config(args) -> mc.ExperimentConfig:
+def _simulate_config(args):
     """simulate's defaults, then the --config file, then the flags given."""
     values = {}
     if args.config:
@@ -231,6 +235,7 @@ def main(argv=None) -> int:
 def _run(args) -> int:
     """Run one parsed command; returns the exit status."""
     if args.command == "simulate":
+        from . import montecarlo as mc
         config = _simulate_config(args)
         workers = _workers(args.workers)
         _check_out(args.out)
@@ -247,6 +252,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "validate":
+        from . import montecarlo as mc
         if args.out:
             _check_out(args.out)
         seed = _effective_seed(args.seed)

@@ -15,6 +15,11 @@ Every trial is seeded by a counter-based derivation from
 (master seed, channel tag, n, K-index, p-index, trial index), so results are
 bit-identical regardless of execution order or worker count; a pooled sweep
 hands its workers blocks of one cell's trials and adds up their counts.
+
+Importing this module loads numpy but not scipy. scipy.sparse, which only
+`components` uses, is loaded by `sweep` before its first trial and before
+its pool starts, so forked workers inherit it; scipy.special is loaded by
+the bound suite's first rate check.
 """
 
 from __future__ import annotations
@@ -27,8 +32,6 @@ from itertools import combinations, product
 from typing import Optional
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components as _sparse_components
 
 from . import theory
 from .channels import match_rho, toroidal_distance_matrix
@@ -136,6 +139,27 @@ def _intersection_edges(n: int, K: int, p: float, channel: str,
     return a[up], b[up]
 
 
+_SPARSE_NAMES = ("csr_matrix", "_sparse_components")
+
+
+def _load_sparse() -> None:
+    """Import scipy.sparse's CSR constructor and component search and bind
+    them to the module names `components` calls, unless a name is already
+    bound (a tracer's wrapper stays)."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+    globals().setdefault("csr_matrix", csr_matrix)
+    globals().setdefault("_sparse_components", connected_components)
+
+
+def __getattr__(name: str):
+    # the scipy names resolve before any sweep has loaded them
+    if name in _SPARSE_NAMES:
+        _load_sparse()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def components(n: int, a: np.ndarray, b: np.ndarray, return_labels: bool = False):
     """Connected components of the graph with edges (a, b) on nodes 0..n-1;
     labels, if asked for, number components in order of smallest member.
@@ -149,6 +173,8 @@ def components(n: int, a: np.ndarray, b: np.ndarray, return_labels: bool = False
     np.cumsum(np.bincount(a, minlength=n), out=indptr[1:])
     # a no-op pass on the kernel's edges, which come sorted by a
     indices = b[np.argsort(a, kind="stable")].astype(np.int32)
+    if not all(name in globals() for name in _SPARSE_NAMES):
+        _load_sparse()
     graph = csr_matrix((np.ones(a.size), indices, indptr), shape=(n, n))
     return _sparse_components(graph, directed=False, return_labels=return_labels)
 
@@ -319,6 +345,7 @@ def sweep(config: ExperimentConfig, workers: int = 1) -> EstimateTable:
     trial, so a grid of few cells keeps every worker busy. One process runs
     each cell whole. Results come back in job order, so job j adds to cell
     j // blocks, cells in (p, K) grid order."""
+    _load_sparse()  # here, not in a trial: forked workers inherit it
     cells = len(config.K_grid) * len(config.p_grid)
     workers = pool_size(workers, cells * config.trials)
     blocks = 1 if workers == 1 else min(config.trials, math.ceil(4 * workers / cells))

@@ -16,6 +16,8 @@ import pytest
 
 from pairkey import montecarlo as mc
 
+from test_imports import run_fresh
+
 BENCH = Path(__file__).parents[1] / "benchmarks"
 WORKLOAD_NAMES = [w["name"] for w in
                   json.loads((BENCH.parent / "BENCHMARK.json").read_text())["workloads"]]
@@ -53,9 +55,10 @@ def test_benchmark_output_checks_pass(name, monkeypatch):
     assert checks.attempted > 0 and checks.failures == []
 
 
-def test_traced_disk_sweep_sees_every_layer():
-    # the traced benchmark run is one process: one `cell` span per cell, and
-    # one distance call per trial, which holds less than an n x n matrix
+def check_traced_disk_sweep():
+    """A small disk sweep, traced: the traced benchmark run is one process,
+    so one `cell` span per cell, and one distance call per trial, which
+    holds less than an n x n matrix; some trials reach the component search."""
     tracing = load_tracing()
     cfg = mc.ExperimentConfig(n=20, K_grid=(1, 3), p_grid=(0.5, 1.0), trials=3,
                               seed=1, channel="disk_forced")
@@ -66,4 +69,17 @@ def test_traced_disk_sweep_sees_every_layer():
     assert tracer.absent == []
     assert m["channels.distance.calls"] == m["trial.calls"] == 4 * cfg.trials
     assert m["sweep.cells"] == 4
+    assert m["components.calls"] > 0
     assert 0 < m["channels.distance.alloc_mb"] < cfg.n * cfg.n * 8 / tracing.MB
+
+
+def test_traced_disk_sweep_sees_every_layer():
+    check_traced_disk_sweep()
+
+
+def test_tracer_installed_before_scipy_loads_sees_every_layer():
+    # this process has loaded scipy already, so a hook that resolves its
+    # name too late shows only in a fresh one
+    run_fresh("import sys\nimport test_bench_hooks\n"
+              "assert 'scipy.sparse' not in sys.modules\n"
+              "test_bench_hooks.check_traced_disk_sweep()")

@@ -502,8 +502,6 @@ def assert_matches_columns(report, reference):
             expect = getattr(want, field)
             if field in inexact:
                 assert value == pytest.approx(expect, rel=1e-12), (got.name, field)
-            elif isinstance(value, float) and math.isnan(value):
-                assert math.isnan(expect), (got.name, field)
             else:
                 assert value == expect, (got.name, field)
 
