@@ -4,8 +4,8 @@ predistribution scheme under unreliable links.
 The names below are re-exported from their modules on first use, so that
 importing the package loads no module it does not need: `theory` needs
 only the standard library, `scheme`, `channels` and `montecarlo` need
-numpy, and `montecarlo` loads scipy when a sweep or the bound suite
-first needs it."""
+numpy, and `montecarlo` loads scipy when a sweep, a `components` call or
+the bound suite first needs it."""
 
 import importlib
 

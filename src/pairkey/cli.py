@@ -76,7 +76,9 @@ def _grid(key: str, value, parse) -> tuple:
 
 
 def _workers(flag) -> int:
-    """--workers, else PAIRKEY_WORKERS, else the CPU count; below 1 is an error."""
+    """--workers, else PAIRKEY_WORKERS, else the CPU count; below 1 or above
+    the CPU count (a pool forks every worker at once) is an error."""
+    cpus = os.cpu_count() or 1
     if flag is not None:
         workers, source = flag, "--workers"
     elif os.environ.get("PAIRKEY_WORKERS"):
@@ -86,9 +88,11 @@ def _workers(flag) -> int:
         except ValueError:
             raise ValueError(f"{source} must be an integer, got {text!r}") from None
     else:
-        return os.cpu_count() or 1
+        return cpus
     if workers < 1:
         raise ValueError(f"{source} must be >= 1, got {workers}")
+    if workers > cpus:
+        raise ValueError(f"{source} must be at most the CPU count {cpus}, got {workers}")
     return workers
 
 

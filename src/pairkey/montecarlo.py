@@ -17,9 +17,9 @@ bit-identical regardless of execution order or worker count; a pooled sweep
 hands its workers blocks of one cell's trials and adds up their counts.
 
 Importing this module loads numpy but not scipy. scipy.sparse, which only
-`components` uses, is loaded by `sweep` before its first trial and before
-its pool starts, so forked workers inherit it; scipy.special is loaded by
-the bound suite's first rate check.
+`components` uses, loads in the first `sweep` or `components` call; `sweep`
+loads it before its first trial and its pool, so forked workers inherit it.
+scipy.special loads in the bound suite's first rate check.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .theory import check_channel, check_int, check_nk, check_p
 
 _CHANNEL_TAGS = {"on_off": 1, "disk": 2, "disk_forced": 3}
 TAIL_T = 0.5  # validate_bounds' estar_tail: P(count <= (1 - TAIL_T) * mean)
+R = 2  # validate_bounds' inside nodes 0, 1; _dense_tile reads them and node 2 by index
 
 
 def trial_entropy(seed: int, channel: str, n: int, k_index: int,
@@ -139,25 +140,20 @@ def _intersection_edges(n: int, K: int, p: float, channel: str,
     return a[up], b[up]
 
 
-_SPARSE_NAMES = ("csr_matrix", "_sparse_components")
-
-
-def _load_sparse() -> None:
-    """Import scipy.sparse's CSR constructor and component search and bind
-    them to the module names `components` calls, unless a name is already
-    bound (a tracer's wrapper stays)."""
+def _scipy_graph():
+    """scipy.sparse's CSR constructor and component search, imported at call time."""
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
-    globals().setdefault("csr_matrix", csr_matrix)
-    globals().setdefault("_sparse_components", connected_components)
+    return csr_matrix, connected_components
 
 
-def __getattr__(name: str):
-    # the scipy names resolve before any sweep has loaded them
-    if name in _SPARSE_NAMES:
-        _load_sparse()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# the two scipy calls of `components`, under names a tracer can rebind
+def csr_matrix(*args, **kwargs):
+    return _scipy_graph()[0](*args, **kwargs)
+
+
+def _sparse_components(*args, **kwargs):
+    return _scipy_graph()[1](*args, **kwargs)
 
 
 def components(n: int, a: np.ndarray, b: np.ndarray, return_labels: bool = False):
@@ -173,8 +169,6 @@ def components(n: int, a: np.ndarray, b: np.ndarray, return_labels: bool = False
     np.cumsum(np.bincount(a, minlength=n), out=indptr[1:])
     # a no-op pass on the kernel's edges, which come sorted by a
     indices = b[np.argsort(a, kind="stable")].astype(np.int32)
-    if not all(name in globals() for name in _SPARSE_NAMES):
-        _load_sparse()
     graph = csr_matrix((np.ones(a.size), indices, indptr), shape=(n, n))
     return _sparse_components(graph, directed=False, return_labels=return_labels)
 
@@ -345,7 +339,7 @@ def sweep(config: ExperimentConfig, workers: int = 1) -> EstimateTable:
     trial, so a grid of few cells keeps every worker busy. One process runs
     each cell whole. Results come back in job order, so job j adds to cell
     j // blocks, cells in (p, K) grid order."""
-    _load_sparse()  # here, not in a trial: forked workers inherit it
+    _scipy_graph()  # here, not in a trial: forked workers inherit it
     cells = len(config.K_grid) * len(config.p_grid)
     workers = pool_size(workers, cells * config.trials)
     blocks = 1 if workers == 1 else min(config.trials, math.ceil(4 * workers / cells))
@@ -474,7 +468,7 @@ def _rate_check(name, count, trials, q) -> BoundCheck:
                       passed=bool(tail >= _PHI_MINUS_3))
 
 
-def _dense_tile(gamma0: np.ndarray, ub: np.ndarray, p: float, r: int,
+def _dense_tile(gamma0: np.ndarray, ub: np.ndarray, p: float,
                 tail_cut: float) -> np.ndarray:
     """Tallies of validate_bounds over a tile of t samples, from their
     partners (t, n, K) and channel uniforms (t, C(n,2)), through dense
@@ -496,7 +490,7 @@ def _dense_tile(gamma0: np.ndarray, ub: np.ndarray, p: float, r: int,
 
     chi1, chi2 = ~adj[:, 0, :].any(axis=1), ~adj[:, 1, :].any(axis=1)
     k01, k02 = keyed[:, 0, 1], keyed[:, 0, 2]
-    e = picked[:, r:, :r].sum(axis=(1, 2))
+    e = picked[:, R:, :R].sum(axis=(1, 2))
     counts = [np.count_nonzero(c) for c in (adj[:, 0, 1], picked[:, 2, 0], chi1,
                                             chi1 & chi2, k01, k02, k01 & k02)]
     xy = np.bincount(picked[:, 2, :2].sum(axis=1), minlength=3)
@@ -524,8 +518,7 @@ def validate_bounds(n: int, K: int, p: float, samples: int,
     check_int("seed", seed, 0)
 
     rng = rng_from_entropy((seed, 102, n, K))
-    r = 2
-    e_mean = theory.estar_mean(n, r, K)
+    e_mean = theory.estar_mean(n, R, K)
     tail_cut = (1.0 - TAIL_T) * e_mean
     # the chunk size sets the stream: a chunk's pairings, then its links;
     # a block of link uniforms sets only how many dense matrices exist at once
@@ -535,7 +528,7 @@ def validate_bounds(n: int, K: int, p: float, samples: int,
         t = min(chunk, samples - done)
         gamma0 = draw_partners((t, n), K, rng)
         for s, ub in uniform_rows(rng, t, n * (n - 1) // 2):
-            tally += _dense_tile(gamma0[s:s + len(ub)], ub, p, r, tail_cut)
+            tally += _dense_tile(gamma0[s:s + len(ub)], ub, p, tail_cut)
     (s_edge, s_pair, s_chi1, s_chi12, s_x, s_y, s_xy,
      c0, c1, c2, s_e, s_e2, s_tail) = tally.tolist()
 
@@ -578,7 +571,7 @@ def validate_bounds(n: int, K: int, p: float, samples: int,
                          math.sqrt(e_var / T) if e_var > 0 else 1.0 / T, "two_sided"))
 
     tail_hat = s_tail / T
-    tail_bound = theory.estar_chernoff(n, r, K, TAIL_T)
+    tail_bound = theory.estar_chernoff(n, R, K, TAIL_T)
     checks.append(_check("estar_tail", tail_hat, tail_bound,
                          math.sqrt(max(tail_hat * (1 - tail_hat), 1.0 / T) / T), "upper"))
 

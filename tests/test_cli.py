@@ -34,6 +34,10 @@ def strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
+# two workers where the machine has two CPUs: the CLI rejects more workers
+# than CPUs
+TWO_WORKERS = str(min(2, os.cpu_count() or 1))
+
 INSTANCE_FILES = ("channel.edges", "pairwise.edges", "intersection.edges",
                   "intersection.components", "pairing.txt")
 
@@ -206,7 +210,7 @@ class TestSimulateCommand:
         args = ["simulate", "--n", "15", "--K", "1..4", "--p", "0.4",
                 "--trials", "25", "--seed", "11", "--workers", "1"]
         assert run(args + ["--out", str(a)]) == 0
-        assert run(args + ["--out", str(b), "--workers", "2"]) == 0
+        assert run(args + ["--out", str(b), "--workers", TWO_WORKERS]) == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_seed_zero_draws_and_prints(self, tmp_path, capsys):
@@ -290,6 +294,27 @@ class TestSimulateCommand:
                   "--out", str(tmp_path / "f.csv")])
         assert rc == 1
         assert "PAIRKEY_WORKERS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["--workers", "PAIRKEY_WORKERS"])
+    def test_workers_above_cpu_count_rejected(self, source, tmp_path, monkeypatch,
+                                              capsys):
+        # a pool forks all its workers at once; no_work keeps a regression
+        # from starting any
+        monkeypatch.setattr(mc, "sweep", no_work)
+        cpus = os.cpu_count() or 1
+        argv = ["simulate", "--trials", "1", "--seed", "1",
+                "--out", str(tmp_path / "w.csv")]
+        if source == "--workers":
+            argv += ["--workers", str(cpus + 1)]
+        else:
+            monkeypatch.setenv("PAIRKEY_WORKERS", str(cpus + 1))
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {source} "), err
+        assert f"CPU count {cpus}," in err[0]
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_env_workers_not_integer_rejected(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("PAIRKEY_WORKERS", "abc")
@@ -445,7 +470,7 @@ class TestFigurePresets:
     def test_figure_sweep_small_trials(self, tmp_path):
         out = tmp_path / "fig2.csv"
         rc = run(["figure", "fig2", "--seed", "6", "--trials", "2",
-                  "--workers", "2", "--out", str(out)])
+                  "--workers", TWO_WORKERS, "--out", str(out)])
         assert rc == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 1 + 25 * 5
@@ -453,7 +478,7 @@ class TestFigurePresets:
     @pytest.mark.parametrize("name,flags", [("fig2", []),
                                             ("fig4", ["--channel", "disk_forced"])])
     def test_figure_sweep_is_simulate(self, tmp_path, name, flags):
-        common = ["--trials", "2", "--seed", "8", "--workers", "2"]
+        common = ["--trials", "2", "--seed", "8", "--workers", TWO_WORKERS]
         fig, sim = tmp_path / "fig.csv", tmp_path / "sim.csv"
         assert run(["figure", name, *common, "--out", str(fig)]) == 0
         assert run(["simulate", *flags, *common, "--out", str(sim)]) == 0

@@ -164,3 +164,18 @@ def test_validate_loads_scipy_special_but_not_scipy_sparse():
                           "assert cli.main(['validate', '--samples', '2000', "
                           "'--seed', '1']) == 0")
     assert "scipy.special" in loaded and "scipy.sparse" not in loaded
+
+
+def test_dump_instance_and_components_load_scipy_sparse_outside_a_sweep(tmp_path):
+    fresh, here = tmp_path / "fresh", tmp_path / "here"
+    out, loaded = run_fresh(
+        "import numpy as np\nimport pairkey\nfrom pairkey import cli\n"
+        f"assert cli.main(['dump-instance', '--seed', '5', '--outdir', {str(fresh)!r}]) == 0\n"
+        "print(pairkey.components(6, np.array([0, 1, 3]), np.array([1, 2, 4])))")
+    assert "scipy.sparse" in loaded
+    assert out == "3"  # {0, 1, 2}, {3, 4} and {5}
+    assert cli.main(["dump-instance", "--seed", "5", "--outdir", str(here)]) == 0
+    names = sorted(p.name for p in here.iterdir())
+    assert len(names) == 5 and sorted(p.name for p in fresh.iterdir()) == names
+    for name in names:
+        assert (fresh / name).read_bytes() == (here / name).read_bytes(), name
