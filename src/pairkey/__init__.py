@@ -11,8 +11,8 @@ import importlib
 
 _EXPORTS = {
     "sample_gamma_matrix": "scheme",
-    "match_rho": "channels",
     "toroidal_distance_matrix": "channels",
+    "match_rho": "theory",
     "TheoryReport": "theory",
     "theory_report": "theory",
     **dict.fromkeys(("EstimateTable", "ExperimentConfig", "TrialOutcome",

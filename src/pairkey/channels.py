@@ -1,16 +1,11 @@
-"""Communication models: the disk model on the unit torus, and the rule
-matching its edge probability to p, the on/off channel's link probability
-(the on/off draw is montecarlo.onoff_links). Disk distances are computed
-only at the pairs asked for, so a trial never holds an n x n array.
+"""The disk model's distances on the unit torus (the matched radius is
+theory.match_rho, the on/off draw montecarlo.onoff_links). Distances are
+computed only at the pairs asked for, so a trial never holds an n x n array.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-
-from .theory import check_channel, check_p
 
 
 def toroidal_distance_matrix(points: np.ndarray, a: np.ndarray,
@@ -36,14 +31,3 @@ def toroidal_distance_matrix(points: np.ndarray, a: np.ndarray,
         total = d
     return np.sqrt(total, out=total)
 
-
-def match_rho(p: float, channel: str = "disk") -> float:
-    """Transmission range with the same edge probability as the on/off model:
-    pi * rho^2 = p, i.e. rho = sqrt(p / pi).
-
-    The identity is exact only for rho < 0.5, i.e. p < pi/4; channel "disk"
-    requires that, "disk_forced" returns rho for any p in (0, 1].
-    """
-    check_p(p)
-    check_channel(channel, p)
-    return math.sqrt(p / math.pi)

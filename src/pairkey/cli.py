@@ -39,8 +39,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def parse_k_values(text: str) -> tuple[int, ...]:
-    """Accepts comma lists and inclusive "a..b" ranges, e.g. "1..25" or "2,5,9"."""
+def parse_k_values(text: str, n: int) -> tuple[int, ...]:
+    """Accepts comma lists and inclusive "a..b" ranges, e.g. "1..25" or "2,5,9";
+    a range's ends are checked against n before the range is expanded."""
     out: list[int] = []
     for item in text.split(","):
         lo, sep, hi = item.partition("..")
@@ -51,6 +52,8 @@ def parse_k_values(text: str) -> tuple[int, ...]:
                              "an integer or an a..b range") from None
         if hi < lo:
             raise ValueError(f"empty K range {item.strip()!r}")
+        theory.check_nk(n, lo)
+        theory.check_nk(n, hi)
         out.extend(range(lo, hi + 1))
     return tuple(out)
 
@@ -123,12 +126,25 @@ def _check_out(path: str) -> None:
         raise ValueError(f"cannot write {path}: not a file in a writable directory")
 
 
-def _sweep_config(**values):
-    """simulate's defaults, updated by `values`, as a checked config."""
+def _sweep_config(config=None, **flags):
+    """simulate's inputs as a checked config: the defaults, then the JSON
+    object in the file `config`, if named, then the flags that are not None."""
     from . import montecarlo as mc
-    values = {**_SIM_DEFAULTS, **values}
+    values = dict(_SIM_DEFAULTS)
+    if config:
+        with open(config) as f:
+            loaded = json.load(f)
+        if not isinstance(loaded, dict):
+            raise ValueError(f"{config}: config must be a JSON object")
+        unknown = sorted(set(loaded) - set(_SIM_DEFAULTS))
+        if unknown:
+            raise ValueError(f"{config}: unknown config key(s) {', '.join(unknown)}; "
+                             f"known: {', '.join(_SIM_DEFAULTS)}")
+        values.update(loaded)
+    values.update((k, v) for k, v in flags.items() if v is not None)
+    n = values["n"]
     return mc.ExperimentConfig(
-        n=values["n"], K_grid=_grid("K", values["K"], parse_k_values),
+        n=n, K_grid=_grid("K", values["K"], lambda text: parse_k_values(text, n)),
         p_grid=_grid("p", values["p"], parse_p_values), trials=values["trials"],
         seed=values["seed"], channel=values["channel"])
 
@@ -204,22 +220,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _simulate_config(args):
-    """simulate's defaults, then the --config file, then the flags given."""
-    values = {}
-    if args.config:
-        with open(args.config) as f:
-            values = json.load(f)
-        if not isinstance(values, dict):
-            raise ValueError(f"{args.config}: config must be a JSON object")
-        unknown = sorted(set(values) - set(_SIM_DEFAULTS))
-        if unknown:
-            raise ValueError(f"{args.config}: unknown config key(s) {', '.join(unknown)}; "
-                             f"known: {', '.join(_SIM_DEFAULTS)}")
-    flags = {key: getattr(args, key) for key in _SIM_DEFAULTS}
-    return _sweep_config(**values | {k: v for k, v in flags.items() if v is not None})
-
-
 def main(argv=None) -> int:
     try:
         status = _run(_build_parser().parse_args(argv))
@@ -240,7 +240,8 @@ def _run(args) -> int:
     """Run one parsed command; returns the exit status."""
     if args.command == "simulate":
         from . import montecarlo as mc
-        config = _simulate_config(args)
+        config = _sweep_config(args.config,
+                               **{k: getattr(args, k) for k in _SIM_DEFAULTS})
         workers = _workers(args.workers)
         _check_out(args.out)
         config = dataclasses.replace(config, seed=_effective_seed(config.seed))

@@ -34,9 +34,9 @@ from typing import Optional
 import numpy as np
 
 from . import theory
-from .channels import match_rho, toroidal_distance_matrix
+from .channels import toroidal_distance_matrix
 from .scheme import draw_partners, sample_gamma_matrix, uniform_rows
-from .theory import check_channel, check_int, check_nk, check_p
+from .theory import check_channel, check_int, check_nk, check_p, match_rho
 
 _CHANNEL_TAGS = {"on_off": 1, "disk": 2, "disk_forced": 3}
 TAIL_T = 0.5  # validate_bounds' estar_tail: P(count <= (1 - TAIL_T) * mean)
@@ -156,15 +156,23 @@ def _sparse_components(*args, **kwargs):
     return _scipy_graph()[1](*args, **kwargs)
 
 
+def _check_edges(n: int, a: np.ndarray, b: np.ndarray) -> None:
+    """Edges (a, b) of a graph on nodes 0..n-1: two 1-D arrays of equal
+    length, with ids in [0, n)."""
+    if a.ndim != 1 or a.shape != b.shape or a.size and (
+            min(a.min(), b.min()) < 0 or max(a.max(), b.max()) >= n):
+        raise ValueError(f"edges must be two 1-D arrays of equal length with node "
+                         f"ids in [0, {n}), got shapes {a.shape} and {b.shape}")
+
+
 def components(n: int, a: np.ndarray, b: np.ndarray, return_labels: bool = False):
     """Connected components of the graph with edges (a, b) on nodes 0..n-1;
     labels, if asked for, number components in order of smallest member.
 
     The edges go straight into the CSR arrays the search reads, in its dtypes
     (float64 data, int32 indices), so scipy neither converts nor copies them;
-    that constructor does not check the ids, so they are checked here."""
-    if a.size and (min(a.min(), b.min()) < 0 or max(a.max(), b.max()) >= n):
-        raise ValueError(f"node ids must be in [0, {n})")
+    that constructor does not check the edges, so they are checked here."""
+    _check_edges(n, a, b)
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(a, minlength=n), out=indptr[1:])
     # a no-op pass on the kernel's edges, which come sorted by a
@@ -175,10 +183,8 @@ def components(n: int, a: np.ndarray, b: np.ndarray, return_labels: bool = False
 
 def degrees(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Degree of each node 0..n-1 of the graph with edges (a, b)."""
-    deg = np.bincount(np.concatenate((a, b)), minlength=n)
-    if deg.size > n:
-        raise ValueError(f"node ids must be < n={n}")
-    return deg
+    _check_edges(n, a, b)
+    return np.bincount(np.concatenate((a, b)), minlength=n)
 
 
 def run_trial(n: int, K: int, p: float, channel: str, trial_seed) -> TrialOutcome:

@@ -1,6 +1,6 @@
 """Closed-form quantities for the pairwise scheme under unreliable links:
-link probabilities, connectivity thresholds, isolation probabilities, and the
-moment/tail bounds the Monte Carlo suite validates against.
+link and isolation probabilities, the matched disk radius, connectivity
+thresholds, and the moment/tail bounds the Monte Carlo suite validates against.
 
 All functions are pure and deterministic; bounds are returned raw (they may
 exceed 1 and are never clamped). The checks of the (n, K, p, channel) domain
@@ -60,10 +60,18 @@ def check_channel(channel: str, p: float) -> None:
     (p < pi/4). "disk_forced" runs the disk model at any p."""
     if channel not in CHANNELS:
         raise ValueError(f"channel must be one of {CHANNELS}, got {channel!r}")
-    if channel == "disk" and math.sqrt(p / math.pi) >= 0.5:
-        raise ValueError(
-            f"p={p} gives rho={math.sqrt(p / math.pi):.5f} >= 0.5 where "
-            "P(edge) != pi*rho^2; use channel disk_forced to run it anyway")
+    if channel == "disk" and (rho := math.sqrt(p / math.pi)) >= 0.5:
+        raise ValueError(f"p={p} gives rho={rho:.5f} >= 0.5 where P(edge) != "
+                         "pi*rho^2; use channel disk_forced to run it anyway")
+
+
+def match_rho(p: float, channel: str = "disk") -> float:
+    """Transmission range with the same edge probability as the on/off model:
+    pi * rho^2 = p, i.e. rho = sqrt(p / pi), on the channel's domain (see
+    check_channel): "disk" needs p < pi/4, "disk_forced" takes any p."""
+    check_p(p)
+    check_channel(channel, p)
+    return math.sqrt(p / math.pi)
 
 
 def lambda_n(n: int, K: int) -> float:

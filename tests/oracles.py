@@ -18,10 +18,10 @@ from itertools import combinations, product
 import numpy as np
 
 from pairkey import theory
-from pairkey.channels import match_rho
 from pairkey.montecarlo import (TAIL_T, BoundCheck, ValidationReport, _check,
                                 _binomial_stderr, _rate_check, keyed_pairs,
                                 pair_index, rng_from_entropy)
+from pairkey.theory import match_rho
 
 
 def all_pairings(n, K):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pairkey import montecarlo as mc
-from pairkey.channels import match_rho, toroidal_distance_matrix
+from pairkey.channels import toroidal_distance_matrix
+from pairkey.theory import match_rho
 
 from oracles import (RecordingRng, ScriptedRng, stacked_toroidal_distance_matrix,
                      toroidal_distance)

@@ -3,6 +3,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -44,17 +45,31 @@ INSTANCE_FILES = ("channel.edges", "pairwise.edges", "intersection.edges",
 
 class TestParseGrids:
     def test_k_range(self):
-        assert cli.parse_k_values("1..5") == (1, 2, 3, 4, 5)
+        assert cli.parse_k_values("1..5", 200) == (1, 2, 3, 4, 5)
 
     def test_k_commas(self):
-        assert cli.parse_k_values("2,5,9") == (2, 5, 9)
+        assert cli.parse_k_values("2,5,9", 200) == (2, 5, 9)
 
     def test_k_mixed(self):
-        assert cli.parse_k_values("1..3,7") == (1, 2, 3, 7)
+        assert cli.parse_k_values("1..3,7", 200) == (1, 2, 3, 7)
 
     def test_k_empty_range(self):
         with pytest.raises(ValueError):
-            cli.parse_k_values("5..3")
+            cli.parse_k_values("5..3", 200)
+
+    def test_k_range_checked_against_n_before_it_is_expanded(self):
+        cli._sweep_config(n=200, K="1..3")  # pays any one-time allocation
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as e:
+                cli._sweep_config(n=200, K="1..3000000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(e.value) == "require 1 <= K < n, got K=3000000, n=200"
+        assert peak < 2 ** 20
+        with pytest.raises(ValueError, match="got K=0, n=200"):
+            cli.parse_k_values("0..5", 200)
 
     def test_p_list(self):
         assert cli.parse_p_values("0.2,0.4") == (0.2, 0.4)

@@ -6,8 +6,8 @@ import pytest
 
 from pairkey import cli, theory
 from pairkey import montecarlo as mc
-from pairkey.channels import match_rho
 from pairkey.scheme import sample_gamma_matrix
+from pairkey.theory import match_rho
 
 # (rule broken, n, K, p, channel); each is in the domain but for that rule.
 # A grid entry point runs K grid (1, K) and p grid (0.2, p), so K=1 or p=0.2

@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from pairkey import montecarlo as mc
 from pairkey.cli import _write_edges
-from pairkey.channels import match_rho
 from pairkey.montecarlo import components, degrees, keyed_pairs
 from pairkey.scheme import sample_gamma_matrix
+from pairkey.theory import match_rho
 
 from oracles import (ScriptedRng, component_labels, intersection_edges,
                      partners_from_uniforms, toroidal_distance)
@@ -87,6 +87,17 @@ class TestGraphConstruction:
             components(3, np.array([0]), np.array([3]))
         with pytest.raises(ValueError):
             components(3, np.array([-1]), np.array([1]))
+
+    @pytest.mark.parametrize("a, b", [
+        ([0, 1, 2], [1, 2, 3, 4]),
+        ([0, 1, 2, 3], [1, 2, 3]),
+        ([[0, 1]], [[1, 2]]),
+        ([0, 1], [[1, 2]]),
+    ], ids=["b-longer", "a-longer", "2-d", "1-d-and-2-d"])
+    @pytest.mark.parametrize("fn", [components, degrees])
+    def test_rejects_mismatched_edge_arrays(self, fn, a, b):
+        with pytest.raises(ValueError, match="1-D arrays of equal length"):
+            fn(5, np.array(a), np.array(b))
 
     def test_edge_is_unordered_and_deduplicated(self):
         # 0 and 1 pick each other: two picks, one edge

@@ -149,6 +149,12 @@ def test_theory_command_prints_the_same_json_without_numpy(capsys):
     assert loaded == set()
 
 
+def test_match_rho_loads_no_numpy():
+    out, loaded = run_fresh("import pairkey; print(repr(pairkey.match_rho(0.2)))")
+    assert out == repr(pairkey.match_rho(0.2))
+    assert loaded == set()
+
+
 def test_sweep_loads_scipy_sparse_before_its_first_trial():
     # the one trial has an isolated node, so it never reaches `components`
     out, loaded = run_fresh(

@@ -9,7 +9,7 @@ import pytest
 from pairkey import montecarlo as mc
 from pairkey import scheme
 from pairkey import theory as th
-from pairkey.channels import match_rho
+from pairkey.theory import match_rho
 
 import oracles
 from test_acceptance import SEED
