@@ -239,6 +239,7 @@ def main(argv=None) -> int:
 def _run(args) -> int:
     """Run one parsed command; returns the exit status."""
     if args.command == "simulate":
+        from concurrent.futures.process import BrokenProcessPool
         from . import montecarlo as mc
         config = _sweep_config(args.config,
                                **{k: getattr(args, k) for k in _SIM_DEFAULTS})
@@ -246,7 +247,11 @@ def _run(args) -> int:
         _check_out(args.out)
         config = dataclasses.replace(config, seed=_effective_seed(config.seed))
         print(f"seed: {config.seed}", file=sys.stderr)
-        table = mc.sweep(config, workers=workers)
+        try:
+            table = mc.sweep(config, workers=workers)
+        except BrokenProcessPool as e:
+            # a worker killed from outside, e.g. when memory runs out
+            raise OSError(f"a sweep worker process died: {e}") from None
         _write_text(args.out, table.to_csv_text() if args.format == "csv"
                     else _json_text(table.to_json_obj()) + "\n")
         return 0

@@ -14,7 +14,8 @@ samples instead; estimate_edge_prob reads uniform_rows too.)
 Every trial is seeded by a counter-based derivation from
 (master seed, channel tag, n, K-index, p-index, trial index), so results are
 bit-identical regardless of execution order or worker count; a pooled sweep
-hands its workers blocks of one cell's trials and adds up their counts.
+hands its workers a few contiguous ranges of the grid's trials each, which
+may span cells, and adds up their counts by cell.
 
 Importing this module loads numpy but not scipy. scipy.sparse, which only
 `components` uses, loads in the first `sweep` or `components` call; `sweep`
@@ -28,7 +29,7 @@ import math
 import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from typing import Optional
 
 import numpy as np
@@ -173,6 +174,11 @@ def components(n: int, a: np.ndarray, b: np.ndarray, return_labels: bool = False
     (float64 data, int32 indices), so scipy neither converts nor copies them;
     that constructor does not check the edges, so they are checked here."""
     _check_edges(n, a, b)
+    return _components(n, a, b, return_labels)
+
+
+def _components(n: int, a: np.ndarray, b: np.ndarray, return_labels: bool = False):
+    """`components` without the edge check, for edges already checked."""
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(a, minlength=n), out=indptr[1:])
     # a no-op pass on the kernel's edges, which come sorted by a
@@ -199,8 +205,9 @@ def run_trial(n: int, K: int, p: float, channel: str, trial_seed) -> TrialOutcom
     rng = rng_from_entropy(trial_seed)
     a, b = _intersection_edges(n, K, p, channel, rng)
     iso = int(np.count_nonzero(degrees(n, a, b) == 0))
-    # an isolated node settles connectivity without the component search
-    connected = iso == 0 and components(n, a, b) == 1
+    # an isolated node settles connectivity without the component search;
+    # degrees has checked the edges
+    connected = iso == 0 and _components(n, a, b) == 1
     return TrialOutcome(connected=connected, isolated_count=iso, edge_count=int(a.size))
 
 
@@ -317,7 +324,7 @@ class EstimateTable:
 
 
 def _run_cell(args) -> tuple[int, int]:
-    """Worker: trials [start, stop) of one grid cell. Returns
+    """Trials [start, stop) of one grid cell. Returns
     (count_connected, count_no_isolated) over those trials."""
     n, K, p, seed, channel, k_index, p_index, start, stop = args
     conn = noiso = 0
@@ -327,6 +334,23 @@ def _run_cell(args) -> tuple[int, int]:
         conn += out.connected
         noiso += out.isolated_count == 0
     return conn, noiso
+
+
+def _run_range(config: ExperimentConfig, start: int,
+               stop: int) -> list[tuple[int, int, int]]:
+    """Worker: units [start, stop) of a sweep, unit cell * trials + t being
+    trial t of cell pi * len(K_grid) + ki. Returns (cell, count_connected,
+    count_no_isolated) for each cell the range touches, one _run_cell each."""
+    trials = config.trials
+    out = []
+    for cell in range(start // trials, (stop - 1) // trials + 1):
+        pi, ki = divmod(cell, len(config.K_grid))
+        first = cell * trials
+        out.append((cell, *_run_cell((
+            config.n, config.K_grid[ki], config.p_grid[pi], config.seed,
+            config.channel, ki, pi, max(start, first) - first,
+            min(stop, first + trials) - first))))
+    return out
 
 
 def pool_size(workers: int, units: int) -> int:
@@ -340,28 +364,29 @@ def sweep(config: ExperimentConfig, workers: int = 1) -> EstimateTable:
     """Run every (K, p) cell of the grid. Output is bit-identical for any
     worker count; trials are seeded independently of scheduling.
 
-    A pool's work items are blocks of one cell's trials. Each cell is cut
-    into as many blocks as make about four items per worker, at most one per
-    trial, so a grid of few cells keeps every worker busy. One process runs
-    each cell whole. Results come back in job order, so job j adds to cell
-    j // blocks, cells in (p, K) grid order."""
+    The work is the flat list of (p, K, trial) units in grid order. One
+    worker runs it whole, in this process, one _run_cell call per cell. A
+    pool gets it cut into min(units, 4 * workers) contiguous ranges, one job
+    each, which may span cells or cut one; the counts come back per cell and
+    are added up by cell. Four ranges per worker keep a worker that drew the
+    costlier (higher-K) ranges from idling the other for long, at a few pool
+    round trips per worker."""
     _scipy_graph()  # here, not in a trial: forked workers inherit it
     cells = len(config.K_grid) * len(config.p_grid)
-    workers = pool_size(workers, cells * config.trials)
-    blocks = 1 if workers == 1 else min(config.trials, math.ceil(4 * workers / cells))
-    jobs = [
-        (config.n, K, p, config.seed, config.channel, ki, pi,
-         config.trials * j // blocks, config.trials * (j + 1) // blocks)
-        for pi, p in enumerate(config.p_grid)
-        for ki, K in enumerate(config.K_grid)
-        for j in range(blocks)
-    ]
+    units = cells * config.trials
+    workers = pool_size(workers, units)
+    ranges = 1 if workers == 1 else min(units, 4 * workers)
+    cuts = [units * j // ranges for j in range(ranges + 1)]
+    jobs = ([config] * ranges, cuts[:-1], cuts[1:])
     if workers == 1:
-        results = [_run_cell(j) for j in jobs]
+        results = list(map(_run_range, *jobs))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_cell, jobs, chunksize=1))
-    counts = np.reshape(results, (cells, blocks, 2)).sum(axis=1).tolist()
+            results = list(pool.map(_run_range, *jobs))
+    counts = [[0, 0] for _ in range(cells)]
+    for cell, conn, noiso in chain.from_iterable(results):
+        counts[cell][0] += conn
+        counts[cell][1] += noiso
     return EstimateTable(rows=tuple(
         CellEstimate(channel=config.channel, n=config.n, K=K, p=p,
                      trials=config.trials, count_connected=conn,

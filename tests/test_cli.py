@@ -341,6 +341,24 @@ class TestSimulateCommand:
         assert "PAIRKEY_WORKERS" in err and "'abc'" in err
         assert not out.exists()
 
+    def test_dead_worker_is_one_line(self, tmp_path, monkeypatch, capsys):
+        # what a pool raises when a worker is killed, e.g. out of memory;
+        # the patched sweep starts no process
+        from concurrent.futures.process import BrokenProcessPool
+
+        def killed(*args, **kwargs):
+            raise BrokenProcessPool("A process in the process pool was "
+                                    "terminated abruptly")
+
+        monkeypatch.setattr(mc, "sweep", killed)
+        out = tmp_path / "k.csv"
+        assert run(["simulate", "--n", "10", "--K", "2", "--p", "0.5", "--trials", "1",
+                    "--seed", "1", "--workers", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["seed: 1", "error: a sweep worker process died: A process "
+                       "in the process pool was terminated abruptly"], err
+        assert not out.exists()
+
     def test_disk_forced_via_flag(self, tmp_path):
         out = tmp_path / "d.csv"
         rc = run(["simulate", "--n", "10", "--K", "2", "--p", "0.9",

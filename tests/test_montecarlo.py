@@ -170,11 +170,14 @@ class TestSweep:
         pytest.param((3,), (0.5,), 7, id="K_grid0-7"),
         pytest.param((2, 3, 4), (0.5,), 2, id="K_grid1-2"),
         pytest.param((2, 3, 4), (0.3, 0.7), 3, id="two_p_three_K"),
+        pytest.param((2, 3, 4, 5, 6), (0.3, 0.7), 3, id="ranges_span_cells"),
     ])
     def test_trial_blocks_match_a_plain_loop(self, K_grid, p_grid, trials):
-        # at 2 and 3 workers every cell is cut into blocks of trials: 7 blocks
-        # of the one cell, or 2 of each of the three or six; with two p values
-        # a sum that took K for p would give other counts
+        # at 2 and 3 workers the (p, K, trial) units are cut into at most 8
+        # or 12 ranges: one trial each for the first two grids, ranges that
+        # cut cells for the third, and for the last, ranges that take one
+        # cell whole and part of the next; with two p values a sum that took
+        # K for p would give other counts
         cfg = mc.ExperimentConfig(n=25, K_grid=K_grid, p_grid=p_grid,
                                   trials=trials, seed=77)
         tables = [mc.sweep(cfg, workers=w) for w in (1, 2, 3)]
@@ -187,6 +190,49 @@ class TestSweep:
                 r = table.cell(cfg.channel, K, p)
                 assert r.count_connected == sum(o.connected for o in outs)
                 assert r.count_no_isolated == sum(o.isolated_count == 0 for o in outs)
+
+    @pytest.mark.parametrize("workers", [2, 3, 5])
+    @pytest.mark.parametrize("K_grid,p_grid,trials", [
+        ((3,), (0.5,), 7), ((2, 3, 4, 5, 6), (0.3, 0.7), 3),
+        (tuple(range(1, 13)), (0.2, 0.6), 2)])
+    def test_pool_runs_each_unit_once_in_few_jobs(self, monkeypatch, workers,
+                                                   K_grid, p_grid, trials):
+        # an in-process stand-in for the pool records its jobs, and a
+        # wrapped _run_cell the trials they run; no process is started
+        pools, jobs, ran = [], [], []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                jobs.extend(zip(*iterables))
+                return map(fn, *iterables)
+
+        run_cell = mc._run_cell
+
+        def recording_cell(args):
+            n, K, p, seed, channel, ki, pi, start, stop = args
+            assert (K, p) == (K_grid[ki], p_grid[pi])
+            ran.extend((pi, ki, t) for t in range(start, stop))
+            return run_cell(args)
+
+        cfg = mc.ExperimentConfig(n=25, K_grid=K_grid, p_grid=p_grid,
+                                  trials=trials, seed=77)
+        plain = mc.sweep(cfg)
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(mc, "_run_cell", recording_cell)
+        assert mc.sweep(cfg, workers=workers) == plain
+        assert pools == [workers]
+        assert 1 < len(jobs) <= 4 * workers
+        assert sorted(ran) == list(product(range(len(p_grid)), range(len(K_grid)),
+                                           range(trials)))
 
     def test_containment_per_cell(self):
         for r in mc.sweep(SMALL).rows:
