@@ -1,6 +1,6 @@
 """The disk model's distances on the unit torus (the matched radius is
-theory.match_rho, the on/off draw montecarlo.onoff_links). Distances are
-computed only at the pairs asked for, so a trial never holds an n x n array.
+theory.match_rho). Distances are computed only at the pairs asked for, so a
+trial never holds an n x n array.
 """
 
 from __future__ import annotations

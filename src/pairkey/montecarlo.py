@@ -2,14 +2,13 @@
 errors, crossover extraction, and the bound-validation suite.
 
 A trial's graph is held as sorted edge arrays (a, b), a < b: the keyed pairs
-of the pairing, filtered by the channel. A trial builds no n x n array.
-It still draws all n(n-1) pairing uniforms and, on on/off, all C(n,2) link
-uniforms, but a block at a time (scheme.uniform_rows), keeping only what
-each block decides: the chosen partners and the links of keyed pairs. The
-disk channel computes distances at the keyed pairs only. So a trial takes
-O(nK + block) memory.
+of the pairing, filtered by the channel. A trial builds no n x n array and
+draws O(nK) random numbers: the pairing (scheme.sample_gamma_matrix), then
+one on/off uniform per keyed pair, or n positions for disk, whose distances
+are computed at the keyed pairs only. So a trial takes O(nK) time and memory.
 (validate_bounds, for small n only, runs dense matrices over tiles of
-samples instead; estimate_edge_prob reads uniform_rows too.)
+samples instead, and ranks uniforms for its pairings, as estimate_edge_prob
+does; both draw them through scheme.uniform_rows.)
 
 Every trial is seeded by a counter-based derivation from
 (master seed, channel tag, n, K-index, p-index, trial index), so results are
@@ -108,33 +107,21 @@ def keyed_pairs(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def pair_index(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Position of pair (a, b), a < b, in row-major upper-triangle order, the
-    order in which the on/off channel draws its C(n,2) uniforms."""
+    order in which sample_instance draws its C(n,2) on/off uniforms."""
     return a * (2 * n - a - 1) // 2 + b - a - 1
-
-
-def onoff_links(n: int, p: float, idx: np.ndarray,
-                rng: np.random.Generator) -> np.ndarray:
-    """The on/off channel at the pairs with ascending pair_index values idx:
-    True where the link is up. The channel draws one uniform per pair, in
-    pair_index order, after the pairing; they are drawn a block at a time and
-    each block is read only at the indices that fall in it."""
-    up = np.empty(idx.size, dtype=bool)
-    for start, u in uniform_rows(rng, n * (n - 1) // 2, 1):
-        lo, hi = np.searchsorted(idx, (start, start + len(u)))
-        up[lo:hi] = u[idx[lo:hi] - start, 0] < p
-    return up
 
 
 def _intersection_edges(n: int, K: int, p: float, channel: str,
                         rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Sample one intersection graph as sorted edge arrays (a, b), a < b.
 
-    The pairing is drawn first, then the channel: the on/off links or n
-    positions for disk. Only keyed pairs are tested against the channel.
+    The pairing is drawn first, then the channel: one on/off uniform per
+    keyed pair, in (a, b) order, or n positions for disk. Only keyed pairs
+    are tested against the channel.
     """
     a, b = keyed_pairs(sample_gamma_matrix(n, K, rng))
     if channel == "on_off":
-        up = onoff_links(n, p, pair_index(n, a, b), rng)
+        up = rng.random(a.size) < p
     else:
         rho = match_rho(p, channel)
         up = toroidal_distance_matrix(rng.random((n, 2)), a, b) < rho
@@ -215,14 +202,15 @@ def sample_instance(n: int, K: int, p: float, seed: int):
     """The on/off instance `pairkey dump-instance` writes, seeded by
     (seed, 201, n, K): the partners (n, K), each row ascending, then the
     key-sharing, channel and intersection graphs as sorted edge arrays
-    (a, b), a < b. It draws the pairing, then one uniform per pair."""
+    (a, b), a < b. It draws the pairing, then one on/off uniform per pair,
+    in pair_index order, keyed or not."""
     check_nk(n, K)
     check_p(p)
     check_int("seed", seed, 0)
     rng = rng_from_entropy((seed, 201, n, K))
     gamma = sample_gamma_matrix(n, K, rng)
     a, b = keyed_pairs(gamma)
-    up = onoff_links(n, p, np.arange(n * (n - 1) // 2), rng)
+    up = rng.random(n * (n - 1) // 2) < p
     both = up[pair_index(n, a, b)]
     iu, ju = np.triu_indices(n, k=1)
     return np.sort(gamma, axis=1), (a, b), (iu[up], ju[up]), (a[both], b[both])

@@ -2,13 +2,19 @@
 enumeration over pairings (and channel states where feasible), among them the
 exact probability that the on/off intersection graph is connected (by
 enumeration for n <= 5, and in closed form at K=1 for any n), the key rings
-of a pairing, and a pure-Python sampler of one trial's graph that draws the
-same random numbers in the same order as the array kernel, and the array
-kernel's whole-array form, which draws each trial's pairing and on/off links
-in one piece, and the torus distance matrix summed over a stacked axis; the
-bound suite's per-sample column form, which sums float columns where the
-library adds integer tallies. Also two stand-in generators that script or
-record the kernel's draws."""
+of a pairing, and pure-Python samplers that draw the same random numbers in
+the same order as the library: the pairing, row by row, one trial's outcome,
+and the dump instance; the kernel's intersection graph from that pairing,
+with the disk distances read off the all-pairs matrix; the torus distance
+matrix summed over a stacked axis; and the bound suite's per-sample column
+form, which sums float columns where the library adds integer tallies.
+
+The earlier kernel ranked each node's candidates by n-1 i.i.d. uniforms and
+drew all C(n,2) on/off uniforms; its whole-array form is kept as the
+ranked-uniform sampler (partner_sets, partners_from_uniforms,
+ranked_intersection_edges), which the bound suite's pairings still use and
+against which the kernel's distribution is tested. Also two stand-in
+generators that script or record the kernel's draws."""
 
 import math
 from collections import Counter, deque
@@ -17,7 +23,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from pairkey import theory
+from pairkey import scheme, theory
 from pairkey.montecarlo import (TAIL_T, BoundCheck, ValidationReport, _check,
                                 _binomial_stderr, _rate_check, keyed_pairs,
                                 pair_index, rng_from_entropy)
@@ -140,20 +146,45 @@ def partner_sets(u, K):
     return out
 
 
-def sample_instance(n, K, p, channel, rng):
-    """One trial's graphs, 0-based: (partner sets, keyed pairs, channel pairs,
-    intersection pairs), each pair (i, j) with i < j. Draws n rows of n-1
-    partner uniforms, then one uniform per pair in row-major order (on/off)
-    or n positions (disk, rho = sqrt(p / pi))."""
-    partners = partner_sets(rng.random((n, n - 1)), K)
+def ordered_partners(n, K, rng):
+    """0-based partners of each node in draw order, as an (n, K) array,
+    drawn as sample_gamma_matrix draws them but one row at a time in plain
+    Python. With m = n-1 candidates and 2K <= m, a row takes the first K
+    distinct values of its draws in [0, m): one (n, width) integer draw,
+    then, while some rows have fewer than K, `extra` more draws for each of
+    them in row order (scheme.draw_widths, looked up at call time). With
+    2K > m, a row is the first K entries of a Fisher-Yates shuffle of
+    0..m-1 whose step j swaps entries j and r_j, r_j drawn from [j, m).
+    Candidate c of node i is node c if c < i else c + 1."""
+    m = n - 1
+    out = np.empty((n, K), dtype=np.int64)
+    if 2 * K > m:
+        for i, swaps in enumerate(rng.integers(np.arange(K), m, size=(n, K))):
+            perm = list(range(m))
+            for j, r in enumerate(swaps.tolist()):
+                perm[j], perm[r] = perm[r], perm[j]
+            out[i] = perm[:K]
+    else:
+        width, extra = scheme.draw_widths(m, K)
+        draws = rng.integers(0, m, size=(n, width)).tolist()
+        while short := [i for i, d in enumerate(draws) if len(set(d)) < K]:
+            more = rng.integers(0, m, size=(len(short), extra)).tolist()
+            for i, row in zip(short, more):
+                draws[i] += row
+        for i, d in enumerate(draws):
+            out[i] = list(dict.fromkeys(d))[:K]
+    return out + (out >= np.arange(n)[:, None])
+
+
+def dump_instance(n, K, p, rng):
+    """The on/off instance dump-instance writes, 0-based: (partner sets,
+    keyed pairs, channel pairs, intersection pairs), each pair (i, j) with
+    i < j. Draws the pairing (ordered_partners), then one uniform per pair,
+    keyed or not, in row-major order."""
+    partners = [set(row) for row in ordered_partners(n, K, rng).tolist()]
     keyed = {(min(i, j), max(i, j)) for i in range(n) for j in partners[i]}
     pairs = list(combinations(range(n), 2))
-    if channel == "on_off":
-        up = {pr for pr, x in zip(pairs, rng.random(len(pairs)).tolist()) if x < p}
-    else:
-        rho = math.sqrt(p / math.pi)
-        pts = rng.random((n, 2)).tolist()
-        up = {(i, j) for i, j in pairs if toroidal_distance(pts[i], pts[j]) < rho}
+    up = {pr for pr, x in zip(pairs, rng.random(len(pairs)).tolist()) if x < p}
     return partners, keyed, up, keyed & up
 
 
@@ -232,8 +263,17 @@ def k1_connected_probability(n, p):
 
 
 def trial(n, K, p, channel, rng):
-    """(connected, isolated_count, edge_count) of one sampled trial."""
-    edges = sample_instance(n, K, p, channel, rng)[3]
+    """(connected, isolated_count, edge_count) of one sampled trial, 0-based.
+    Draws the pairing (ordered_partners), then one uniform per keyed pair in
+    sorted order (on/off) or n positions (disk, rho = sqrt(p / pi))."""
+    partners = ordered_partners(n, K, rng).tolist()
+    keyed = sorted({(min(i, j), max(i, j)) for i in range(n) for j in partners[i]})
+    if channel == "on_off":
+        edges = [pr for pr, x in zip(keyed, rng.random(len(keyed)).tolist()) if x < p]
+    else:
+        rho = math.sqrt(p / math.pi)
+        pts = rng.random((n, 2)).tolist()
+        edges = [(i, j) for i, j in keyed if toroidal_distance(pts[i], pts[j]) < rho]
     touched = {v for e in edges for v in e}
     return max(component_labels(n, edges)) == 0, n - len(touched), len(edges)
 
@@ -251,10 +291,24 @@ def partners_from_uniforms(u, K):
 
 
 def intersection_edges(n, K, p, channel, rng):
-    """The kernel's intersection graph as sorted edge arrays (a, b), drawn
-    whole: one (n, n-1) array of pairing uniforms, then all C(n,2) on/off
-    uniforms at once (or n positions for disk, read off the stacked
-    all-pairs distance matrix)."""
+    """The kernel's intersection graph as sorted edge arrays (a, b), from
+    the row-by-row pairing (ordered_partners), then one on/off uniform per
+    keyed pair (or n positions for disk, read off the stacked all-pairs
+    distance matrix)."""
+    a, b = keyed_pairs(ordered_partners(n, K, rng))
+    if channel == "on_off":
+        up = rng.random(a.size) < p
+    else:
+        rho = match_rho(p, channel)
+        up = stacked_toroidal_distance_matrix(rng.random((n, 2)))[a, b] < rho
+    return a[up], b[up]
+
+
+def ranked_intersection_edges(n, K, p, channel, rng):
+    """The earlier kernel's intersection graph as sorted edge arrays
+    (a, b), drawn whole: one (n, n-1) array of uniforms ranking each node's
+    candidates, then all C(n,2) on/off uniforms at once (or n positions for
+    disk, read off the stacked all-pairs distance matrix)."""
     a, b = keyed_pairs(partners_from_uniforms(rng.random((n, n - 1)), K))
     if channel == "on_off":
         up = (rng.random(n * (n - 1) // 2) < p)[pair_index(n, a, b)]
@@ -349,9 +403,10 @@ def validate_columns(n, K, p, samples, seed):
 
 class ScriptedRng:
     """Stands in for a numpy Generator: the draws given are joined into one
-    flat script, and each random(shape) call returns its next values in the
-    requested shape. So a script serves any split of the same draws into
-    requests, whatever block size the kernel uses."""
+    flat script, and each random(shape) or integers(low, high, size) call
+    returns its next values in the requested shape (as int64 for integers,
+    each checked to lie in [low, high)). So a script serves any split of the
+    same draws into requests."""
 
     def __init__(self, *draws):
         self.script = np.concatenate([np.ravel(np.asarray(d, dtype=float))
@@ -365,9 +420,15 @@ class ScriptedRng:
         self.used += size
         return out.reshape(shape)
 
+    def integers(self, low, high, size):
+        out = self.random(size).astype(np.int64)
+        assert np.all((low <= out) & (out < high)), "scripted integer out of range"
+        return out
+
 
 class RecordingRng:
-    """Wraps a numpy Generator and keeps every array random() returns."""
+    """Wraps a numpy Generator and keeps every array random() or
+    integers() returns."""
 
     def __init__(self, rng):
         self.rng = rng
@@ -375,4 +436,8 @@ class RecordingRng:
 
     def random(self, shape):
         self.draws.append(self.rng.random(shape))
+        return self.draws[-1]
+
+    def integers(self, low, high, size):
+        self.draws.append(self.rng.integers(low, high, size=size))
         return self.draws[-1]

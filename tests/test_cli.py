@@ -442,7 +442,7 @@ class TestDumpInstance:
                     "--p", str(p), "--seed", str(seed),
                     "--outdir", str(tmp_path)]) == 0
         rng = mc.rng_from_entropy((seed, 201, n, K))
-        partners, keyed, up, both = oracles.sample_instance(n, K, p, "on_off", rng)
+        partners, keyed, up, both = oracles.dump_instance(n, K, p, rng)
         for name, pairs in (("pairwise.edges", keyed), ("channel.edges", up),
                             ("intersection.edges", both)):
             assert read_edges(tmp_path / name) == \

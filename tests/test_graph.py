@@ -15,8 +15,8 @@ from pairkey.montecarlo import components, degrees, keyed_pairs
 from pairkey.scheme import sample_gamma_matrix
 from pairkey.theory import match_rho
 
-from oracles import (ScriptedRng, component_labels, intersection_edges,
-                     partners_from_uniforms, toroidal_distance)
+from oracles import (RecordingRng, ScriptedRng, component_labels,
+                     intersection_edges, ordered_partners, toroidal_distance)
 
 
 def arrays(edges):
@@ -40,21 +40,22 @@ def path(n):
 
 def trial_on(n, edges):
     """run_trial on a prescribed graph on n >= 2 nodes. With K = n-1 every
-    pair is keyed, so the on/off draws alone choose the edges: 0 is up and
-    1 is down at p = 0.5."""
+    pair is keyed, so the on/off draws alone choose the edges, one per pair
+    in sorted order: 0 is up and 1 is down at p = 0.5. The pairing's
+    Fisher-Yates draws are scripted as r_j = j, which swap nothing."""
     u = np.ones(n * (n - 1) // 2)
     if edges:
         u[mc.pair_index(n, *arrays(edges))] = 0.0
-    rng = ScriptedRng(np.zeros((n, n - 1)), u)
+    rng = ScriptedRng(np.tile(np.arange(n - 1), (n, 1)), u)
     with mock.patch.object(mc, "rng_from_entropy", lambda entropy: rng):
         return mc.run_trial(n, n - 1, 0.5, "on_off", 0)
 
 
-def intersection(partner_u, channel_u, K, p=0.5, channel="on_off"):
-    """Edge pairs of the kernel's intersection graph on scripted draws."""
-    n = len(partner_u)
+def intersection(n, partner_draws, channel_u, K, p=0.5, channel="on_off"):
+    """Edge pairs of the kernel's intersection graph on scripted draws: the
+    pairing's integer draws, then the channel's uniforms."""
     a, b = mc._intersection_edges(n, K, p, channel,
-                                  ScriptedRng(partner_u, channel_u))
+                                  ScriptedRng(*partner_draws, channel_u))
     assert np.all(a < b)
     assert np.all(np.diff(a * n + b) > 0)
     return set(zip(a.tolist(), b.tolist()))
@@ -222,22 +223,23 @@ class TestComponents:
         assert len(set(labels.tolist())) == count
 
 
-# n=3, K=1: node 0 picks 1, node 1 picks 2, node 2 picks 1
-HAND_PARTNER_U = [[0.1, 0.9], [0.9, 0.1], [0.9, 0.1]]
+# n=3, K=1, one draw per node among its candidates 0, 1: node 0 picks 1,
+# node 1 picks 2, node 2 picks 1
+HAND_PARTNER_DRAWS = [[[0], [1], [1]]]
 HAND_KEYED = {(0, 1), (1, 2)}
 
 
 class TestIntersect:
     def test_idempotent(self):
         # a channel with every pair up leaves the key-sharing graph as it is
-        assert intersection(HAND_PARTNER_U, np.zeros(3), 1) == HAND_KEYED
+        assert intersection(3, HAND_PARTNER_DRAWS, np.zeros(2), 1) == HAND_KEYED
 
     def test_with_empty(self):
-        assert intersection(HAND_PARTNER_U, np.ones(3), 1) == set()
+        assert intersection(3, HAND_PARTNER_DRAWS, np.ones(2), 1) == set()
 
     def test_literal_example(self):
-        # channel draws for (0, 1), (0, 2), (1, 2): up at (0, 2) and (1, 2)
-        assert intersection(HAND_PARTNER_U, [0.9, 0.1, 0.1], 1) == {(1, 2)}
+        # channel draws for the keyed pairs (0, 1), (1, 2): up at (1, 2)
+        assert intersection(3, HAND_PARTNER_DRAWS, [0.9, 0.1], 1) == {(1, 2)}
 
     @given(st.data(), st.integers(min_value=2, max_value=8),
            st.sampled_from(["on_off", "disk"]),
@@ -245,20 +247,18 @@ class TestIntersect:
     @settings(max_examples=100)
     def test_commutative_and_bounded(self, data, n, channel, seed):
         K = data.draw(st.integers(min_value=1, max_value=n - 1))
-        r = np.random.default_rng(seed)
-        partner_u = r.random((n, n - 1))
-        pairs = all_pairs(n)
+        r = RecordingRng(np.random.default_rng(seed))
+        partners = ordered_partners(n, K, r)
+        keyed = set(zip(*(x.tolist() for x in keyed_pairs(partners))))
         if channel == "on_off":
-            channel_u = r.random(len(pairs))
-            up = {pr for pr, x in zip(pairs, channel_u) if x < 0.3}
+            channel_u = r.random(len(keyed))
+            up = {pr for pr, x in zip(sorted(keyed), channel_u) if x < 0.3}
         else:
             channel_u = r.random((n, 2))
             rho = match_rho(0.3)
-            up = {(i, j) for i, j in pairs
+            up = {(i, j) for i, j in all_pairs(n)
                   if toroidal_distance(channel_u[i], channel_u[j]) < rho}
-        keyed = set(zip(*(x.tolist() for x in
-                          keyed_pairs(partners_from_uniforms(partner_u, K)))))
-        got = intersection(partner_u, channel_u, K, 0.3, channel)
+        got = intersection(n, r.draws[:-1], channel_u, K, 0.3, channel)
         assert got == keyed & up == up & keyed
         assert len(got) <= min(len(keyed), len(up))
 
@@ -266,8 +266,9 @@ class TestIntersect:
     @pytest.mark.parametrize("k_of_n", [lambda n: 1, lambda n: n // 2,
                                         lambda n: n - 1], ids=["1", "mid", "n-1"])
     def test_blocked_draws_match_whole_array(self, n, k_of_n):
-        # the kernel draws the pairing and the on/off links in blocks; the
-        # reference draws each in one piece from the same stream
+        # the kernel draws the pairing for all rows at once, column by column
+        # on the permutation path; the reference draws it row by row in plain
+        # Python, from the same stream, then the same channel draws
         K = k_of_n(n)
         for channel, seed in (("on_off", 1), ("disk_forced", 2)):
             got = mc._intersection_edges(n, K, 0.3, channel,

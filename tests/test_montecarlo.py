@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from dataclasses import asdict, replace
 from itertools import combinations, product
@@ -73,6 +74,18 @@ class TestRunTrial:
                 e = mc.trial_entropy(5, channel, n, K, 0, t)
                 assert mc.run_trial(n, K, p, channel, e) == \
                     object_path_trial(n, K, p, channel, e)
+
+    @pytest.mark.parametrize("channel", ["on_off", "disk_forced"])
+    def test_trial_is_order_nk(self, channel):
+        # n = 10^5: drawing n(n-1) pairing uniforms to rank would take about
+        # a minute; an O(nK) trial takes about 0.1 s and 140 MB (x86-64, numpy 2.4)
+        def trial():
+            return mc.run_trial(100_000, 36, 0.2, channel, 3)
+
+        start = time.process_time()
+        trial()
+        assert time.process_time() - start < 2.0
+        assert peak_mb(trial) < 300
 
     def test_disk_trial_holds_no_distance_matrix(self):
         # the all-pairs distance matrix alone is 69 MB at n=3000; the
@@ -271,6 +284,10 @@ class TestExactConnectivity:
         (4, 1, 0.5, 0.1712962962962963),
         (5, 1, 0.7, 0.29562312499999993),
         (3, 1, 0.5, 0.3125),
+        # 2K > n-1: the pairing is a permutation prefix
+        (4, 2, 0.5, 0.4907407407407407),
+        (5, 3, 0.4, 0.4308914944000018),
+        (5, 4, 0.3, 0.25626047760000037),
     ])
     def test_sweep_matches_oracle(self, n, K, p, exact):
         assert oracles.exact_connected_probability(n, K, p) == \
@@ -369,7 +386,7 @@ class TestFindCrossover:
 
 class TestCompareChannels:
     def test_mixed_channels_need_a_channel(self):
-        # P(connected) reaches 0.4 at K=3 on/off (0.42) and at K=4 on
+        # P(connected) reaches 0.33 at K=3 on/off (0.35) and at K=4 on
         # disk_forced (0.30 at K=3); without a channel the column would mix
         # them and the crossover read the on/off K=3
         cfg = mc.ExperimentConfig(n=30, K_grid=(1, 2, 3, 4), p_grid=(0.5,),
@@ -377,11 +394,11 @@ class TestCompareChannels:
         t_on = mc.sweep(cfg)
         t_disk = mc.sweep(replace(cfg, channel="disk_forced"))
         both = mc.EstimateTable(rows=t_on.rows + t_disk.rows)
-        assert mc.find_crossover(both, 0.5, 0.4, channel="on_off") == \
-            mc.find_crossover(t_on, 0.5, 0.4) == 3
-        assert mc.find_crossover(both, 0.5, 0.4, channel="disk_forced") == \
-            mc.find_crossover(t_disk, 0.5, 0.4) == 4
-        for read in (lambda: both.column(0.5), lambda: mc.find_crossover(both, 0.5, 0.4)):
+        assert mc.find_crossover(both, 0.5, 0.33, channel="on_off") == \
+            mc.find_crossover(t_on, 0.5, 0.33) == 3
+        assert mc.find_crossover(both, 0.5, 0.33, channel="disk_forced") == \
+            mc.find_crossover(t_disk, 0.5, 0.33) == 4
+        for read in (lambda: both.column(0.5), lambda: mc.find_crossover(both, 0.5, 0.33)):
             with pytest.raises(ValueError, match="disk_forced.*on_off"):
                 read()
 
@@ -558,8 +575,7 @@ class TestSampleInstance:
                                             (50, 5, 0.2, 42)])
     def test_matches_oracle(self, n, K, p, seed):
         partners, *graphs = mc.sample_instance(n, K, p, seed)
-        want = oracles.sample_instance(n, K, p, "on_off",
-                                       mc.rng_from_entropy((seed, 201, n, K)))
+        want = oracles.dump_instance(n, K, p, mc.rng_from_entropy((seed, 201, n, K)))
         assert [set(row) for row in partners.tolist()] == want[0]
         assert (np.diff(partners, axis=1) > 0).all()
         for (a, b), pairs in zip(graphs, want[1:]):

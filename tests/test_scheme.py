@@ -1,12 +1,13 @@
 import hashlib
 import json
 import math
-from dataclasses import replace
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, permutations
 from unittest import mock
 
 import numpy as np
 import pytest
+from scipy.special import chdtrc
 
 from pairkey import montecarlo as mc
 from pairkey import scheme
@@ -14,8 +15,8 @@ from pairkey.cli import dump_instance
 from pairkey.montecarlo import degrees, estimate_edge_prob, keyed_pairs
 from pairkey.scheme import draw_partners, sample_gamma_matrix, uniform_rows
 
-from oracles import ScriptedRng, key_rings, partner_sets, partners_from_uniforms
-from test_stream_pins import DUMP_FILES
+from oracles import (RecordingRng, ScriptedRng, key_rings, ordered_partners,
+                     partner_sets, partners_from_uniforms)
 
 
 def rng(seed=12345):
@@ -104,9 +105,37 @@ class TestSamplePairing:
 
     @pytest.mark.parametrize("n,K", [(2, 1), (6, 2), (6, 5), (25, 4)])
     def test_matches_ranked_uniform_oracle(self, n, K):
-        gamma = sample_gamma_matrix(n, K, rng(n + K))
+        # the bound suite's pairings rank the candidates by uniforms
+        gamma = draw_partners((n,), K, rng(n + K))
         u = rng(n + K).random((n, n - 1))
         assert [set(row.tolist()) for row in gamma] == partner_sets(u, K)
+
+    @pytest.mark.parametrize("n,K", [(2, 1), (3, 1), (6, 2), (6, 3), (6, 5),
+                                     (25, 4), (25, 12), (25, 13), (200, 25)])
+    def test_matches_draw_order_oracle(self, n, K):
+        # rows in draw order, on both paths (2K <= n-1 and 2K > n-1)
+        assert sample_gamma_matrix(n, K, rng(n + K)).tolist() == \
+            ordered_partners(n, K, rng(n + K)).tolist()
+
+    @pytest.mark.parametrize("n,K", [(6, 2), (30, 4), (40, 19)])
+    def test_top_ups_match_oracle(self, monkeypatch, n, K):
+        # with no margin and a top-up of one draw, most rows come up short,
+        # some several times over
+        monkeypatch.setattr(scheme, "draw_widths", lambda m, K: (K, 1))
+        calls = []
+        for seed in range(20):
+            r = RecordingRng(rng(seed))
+            got = sample_gamma_matrix(n, K, r)
+            assert got.tolist() == ordered_partners(n, K, rng(seed)).tolist()
+            calls.append(len(r.draws))
+        assert max(calls) > 2
+
+    def test_draw_widths(self):
+        # K=1 never repeats. At m=5, K=2 the repeats before the 2nd distinct
+        # value have mean 1/4 and variance 5/16: a margin of
+        # ceil(1/4 + 3 sqrt(5/16)) = ceil(1.93) = 2
+        assert scheme.draw_widths(199, 1) == (1, 0)
+        assert scheme.draw_widths(5, 2) == (4, 2)
 
     def test_batched_rows_match_single_draws(self):
         # the validation suite draws a (t, n) batch of pairings in one call
@@ -115,21 +144,53 @@ class TestSamplePairing:
             r = rng(4)
             for t in range(3):
                 assert partner_list(batch[t]) == \
-                    partner_list(sample_gamma_matrix(n, K, r))
+                    partner_list(draw_partners((n,), K, r))
+
+
+def ordered_sequences(n, K, calls, seed):
+    """Counts of the ordered K-sequences of candidates that the rows of
+    `calls` pairings of n nodes draw, candidate c of node i being node c if
+    c < i else c + 1, so every row draws from 0..n-2."""
+    r = rng(seed)
+    counts = Counter()
+    for _ in range(calls):
+        gamma = sample_gamma_matrix(n, K, r)
+        cand = gamma - (gamma > np.arange(n)[:, None])
+        counts.update(map(tuple, cand.tolist()))
+    return counts
+
+
+class TestOrderedUniformity:
+    """Every ordered K-sequence of the n-1 candidates is equally likely,
+    on both paths of sample_gamma_matrix: distinct draws with top-ups
+    (2K <= n-1) and permutation prefixes (2K > n-1, among them K = n-1)."""
+
+    @pytest.mark.parametrize("n,K", [(3, 1), (4, 1), (5, 2), (6, 2), (4, 2),
+                                     (5, 3), (6, 3), (4, 3), (6, 5)])
+    def test_chi_square(self, n, K):
+        cells = math.perm(n - 1, K)
+        calls = 60 * cells // n + 1
+        counts = ordered_sequences(n, K, calls, seed=100 * n + K)
+        assert set(counts) <= set(permutations(range(n - 1), K))
+        expected = calls * n / cells
+        chi2 = sum((counts[seq] - expected) ** 2 / expected
+                   for seq in permutations(range(n - 1), K))
+        assert chdtrc(cells - 1, chi2) > 1e-3
 
 
 def scripted_pairing(u, K):
-    """Partner sets the sampler picks from the uniforms u, next to those of
-    one argpartition of the whole array."""
-    got = partner_list(sample_gamma_matrix(len(u), K, ScriptedRng(u)))
+    """Partner sets the bound suite's sampler picks from the uniforms u,
+    next to those of one argpartition of the whole array."""
+    got = partner_list(draw_partners((len(u),), K, ScriptedRng(u)))
     return got, partner_list(partners_from_uniforms(u, K))
 
 
 class TestThresholdSelection:
-    """The sampler ranks only uniforms below a cut, keyed row + u so that one
-    sort orders every row of a block, and falls back to an exact ranking
-    where that cannot decide a block; either way it must pick what one
-    whole-array argpartition picks."""
+    """The bound suite's sampler, draw_partners, ranks each block of
+    uniforms by argpartition; on scripted ties, short rows and off-grid
+    values it must pick what one whole-array argpartition picks, and on
+    seeded draws what the pure-Python ranking picks. The trial's sampler
+    ranks no uniforms."""
 
     def test_row_short_of_candidates(self):
         u = rng(1).random((20, 19))
@@ -153,7 +214,7 @@ class TestThresholdSelection:
         u = rng(3).random((20, 19))
         u[2, 5] = 0.3
         u[6] = np.linspace(0.05, 0.95, 19)[::-1]
-        # two values finer than the grid, with one key: the smaller one counts
+        # two values finer than the grid, one above the other: the smaller counts
         u[8, :] = 0.5
         u[8, [3, 11]] = np.nextafter(0.1, 1.0), 0.1
         for K in (1, 3):
@@ -162,30 +223,31 @@ class TestThresholdSelection:
         assert scripted_pairing(u, 1)[0][8] == {12}
 
     def test_row_just_below_cut_then_row_at_zero(self):
-        # row 5's keys sit just below 5 + cut and row 6's at exactly 6.0, so
-        # the rows meet in the one sort; each must still rank on its own
+        # row 5's three smallest uniforms lie within 2^-39 of one another,
+        # and row 6 has two at exactly 0.0; each row must rank on its own
         n, K = 20, 2
-        cut = (K + 4 * math.sqrt(K) + 4) / (n - 1)
+        v = (K + 4 * math.sqrt(K) + 4) / (n - 1)
         u = rng(4).random((n, n - 1))
         u[5] = 0.99
-        u[5, [2, 7, 11]] = np.nextafter(cut, 0.0) - np.array([3, 1, 2]) * 2.0 ** -40
+        u[5, [2, 7, 11]] = np.nextafter(v, 0.0) - np.array([3, 1, 2]) * 2.0 ** -40
         u[6, [0, 4]] = 0.0
         want = partner_list(partners_from_uniforms(u, K))
-        with mock.patch.object(np, "argpartition", side_effect=AssertionError):
-            got = partner_list(sample_gamma_matrix(n, K, ScriptedRng(u)))
+        got = partner_list(draw_partners((n,), K, ScriptedRng(u)))
         assert got == want
         # columns 2 and 11 of node 5 are nodes 2 and 12
         assert got[5] == {2, 12} and got[6] == {0, 4}
 
     def test_threshold_path_decides_ordinary_blocks(self):
-        # none of these draws needs the exact fallback
         with mock.patch.object(np, "argpartition", side_effect=AssertionError):
             sample_gamma_matrix(1000, 10, rng(1))
-            draw_partners((300, 30), 2, rng(1))
+            sample_gamma_matrix(300, 200, rng(1))
+        batch = draw_partners((300, 30), 2, rng(1))
+        u = rng(1).random((300, 30, 29))
+        assert [partner_list(g) for g in batch] == [partner_sets(x, 2) for x in u]
 
     @pytest.mark.parametrize("n,K", [(600, 1), (600, 300), (1000, 30)])
     def test_many_blocks_match_argpartition(self, n, K):
-        got = partner_list(sample_gamma_matrix(n, K, rng(n + K)))
+        got = partner_list(draw_partners((n,), K, rng(n + K)))
         assert got == partner_list(
             partners_from_uniforms(rng(n + K).random((n, n - 1)), K))
 
@@ -198,17 +260,11 @@ class TestThresholdSelection:
             "9f05230db796db0edf45df65ed7b00490594ef6585818aac647e01ee9a65a3bb"
 
 
-def blocked_outputs(outdir):
-    """Every output that reads uniform_rows: sweep CSVs on both channel
-    kinds, the edge estimate, the bound report and the dump files."""
-    cfg = mc.ExperimentConfig(n=30, K_grid=(1, 3), p_grid=(0.3, 0.6), trials=6, seed=9)
-    out = [mc.sweep(replace(cfg, channel=c)).to_csv_text()
-           for c in ("on_off", "disk_forced")]
-    out.append(estimate_edge_prob(40, 3, 0.3, 3000, 8))
-    out.append(mc.validate_bounds(6, 2, 0.4, 3000, 8).to_dict())
-    dump_instance(30, 3, 0.4, 5, str(outdir))
-    out += [(outdir / name).read_bytes() for name in DUMP_FILES]
-    return out
+def blocked_outputs():
+    """Every output that reads uniform_rows: the edge estimate and the bound
+    report."""
+    return [estimate_edge_prob(40, 3, 0.3, 3000, 8),
+            mc.validate_bounds(6, 2, 0.4, 3000, 8).to_dict()]
 
 
 class TestUniformRows:
@@ -223,10 +279,10 @@ class TestUniformRows:
         assert np.array_equal(np.concatenate([u for _, u in blocks] or [whole]), whole)
 
     @pytest.mark.parametrize("block", [7, 64])
-    def test_outputs_do_not_depend_on_block_size(self, monkeypatch, tmp_path, block):
-        want = blocked_outputs(tmp_path / "default")
+    def test_outputs_do_not_depend_on_block_size(self, monkeypatch, block):
+        want = blocked_outputs()
         monkeypatch.setattr(scheme, "_BLOCK", block)
-        assert blocked_outputs(tmp_path / "patched") == want
+        assert blocked_outputs() == want
 
 
 class TestKeyRings:
