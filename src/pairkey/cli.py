@@ -1,8 +1,8 @@
 """Command-line entry point: sweeps, theory reports, bound validation,
 figure presets, and instance dumps.
 
-Exit status: 0 success, 1 usage or I/O error (one "error: ..." line on
-stderr), 2 validation-suite failure.
+Exit status: 0 success, 1 usage, I/O or out-of-memory error (one
+"error: ..." line on stderr), 2 validation-suite failure.
 
 Each command imports montecarlo (numpy, and scipy when it needs it) only if
 it uses it, so `theory`, `--help` and a usage error load neither.
@@ -79,9 +79,12 @@ def _grid(key: str, value, parse) -> tuple:
 
 
 def _workers(flag) -> int:
-    """--workers, else PAIRKEY_WORKERS, else the CPU count; below 1 or above
-    the CPU count (a pool forks every worker at once) is an error."""
-    cpus = os.cpu_count() or 1
+    """--workers, else PAIRKEY_WORKERS, else the CPU count: the CPUs this
+    process may run on where the platform tells (sched_getaffinity), else
+    os.cpu_count(). Below 1 or above the CPU count (a pool forks every worker
+    at once) is an error."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
     if flag is not None:
         workers, source = flag, "--workers"
     elif os.environ.get("PAIRKEY_WORKERS"):
@@ -233,6 +236,11 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:
+        # numpy's MemoryError names the array it could not allocate; a bare one is empty
+        detail = f": {e}" if str(e) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 1
 
 

@@ -14,7 +14,7 @@ Every trial is seeded by a counter-based derivation from
 (master seed, channel tag, n, K-index, p-index, trial index), so results are
 bit-identical regardless of execution order or worker count; a pooled sweep
 hands its workers a few contiguous ranges of the grid's trials each, which
-may span cells, and adds up their counts by cell.
+may span cells, and adds up the (cells, 2) count arrays they return.
 
 Importing this module loads numpy but not scipy. scipy.sparse, which only
 `components` uses, loads in the first `sweep` or `components` call; `sweep`
@@ -28,7 +28,7 @@ import math
 import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
-from itertools import chain, combinations, product
+from itertools import combinations, product
 from typing import Optional
 
 import numpy as np
@@ -145,12 +145,13 @@ def _sparse_components(*args, **kwargs):
 
 
 def _check_edges(n: int, a: np.ndarray, b: np.ndarray) -> None:
-    """Edges (a, b) of a graph on nodes 0..n-1: two 1-D arrays of equal
-    length, with ids in [0, n)."""
-    if a.ndim != 1 or a.shape != b.shape or a.size and (
+    """Edges (a, b) on nodes 0..n-1: 1-D integer arrays, equal length, ids in [0, n)."""
+    check_int("n", n, 0)
+    ints = np.issubdtype(a.dtype, np.integer) and np.issubdtype(b.dtype, np.integer)
+    if not ints or a.ndim != 1 or a.shape != b.shape or a.size and (
             min(a.min(), b.min()) < 0 or max(a.max(), b.max()) >= n):
-        raise ValueError(f"edges must be two 1-D arrays of equal length with node "
-                         f"ids in [0, {n}), got shapes {a.shape} and {b.shape}")
+        raise ValueError(f"edges must be two 1-D arrays of equal length of integers in "
+                         f"[0, {n}), got {a.dtype} {a.shape} and {b.dtype} {b.shape}")
 
 
 def components(n: int, a: np.ndarray, b: np.ndarray, return_labels: bool = False):
@@ -311,41 +312,30 @@ class EstimateTable:
                               for d in obj))
 
 
-def _run_cell(args) -> tuple[int, int]:
-    """Trials [start, stop) of one grid cell. Returns
-    (count_connected, count_no_isolated) over those trials."""
-    n, K, p, seed, channel, k_index, p_index, start, stop = args
+def _run_cell(config: ExperimentConfig, cell: int, start: int,
+              stop: int) -> tuple[int, int]:
+    """(count_connected, count_no_isolated) over trials [start, stop) of a cell."""
+    pi, ki = divmod(cell, len(config.K_grid))
     conn = noiso = 0
     for t in range(start, stop):
-        out = run_trial(n, K, p, channel,
-                        trial_entropy(seed, channel, n, k_index, p_index, t))
+        out = run_trial(config.n, config.K_grid[ki], config.p_grid[pi], config.channel,
+                        trial_entropy(config.seed, config.channel, config.n, ki, pi, t))
         conn += out.connected
         noiso += out.isolated_count == 0
     return conn, noiso
 
 
-def _run_range(config: ExperimentConfig, start: int,
-               stop: int) -> list[tuple[int, int, int]]:
+def _run_range(config: ExperimentConfig, start: int, stop: int) -> np.ndarray:
     """Worker: units [start, stop) of a sweep, unit cell * trials + t being
-    trial t of cell pi * len(K_grid) + ki. Returns (cell, count_connected,
-    count_no_isolated) for each cell the range touches, one _run_cell each."""
+    trial t of that cell, one _run_cell per cell the range touches. Returns
+    their (count_connected, count_no_isolated) as a (cells, 2) int64 array."""
     trials = config.trials
-    out = []
+    counts = np.zeros((len(config.K_grid) * len(config.p_grid), 2), dtype=np.int64)
     for cell in range(start // trials, (stop - 1) // trials + 1):
-        pi, ki = divmod(cell, len(config.K_grid))
         first = cell * trials
-        out.append((cell, *_run_cell((
-            config.n, config.K_grid[ki], config.p_grid[pi], config.seed,
-            config.channel, ki, pi, max(start, first) - first,
-            min(stop, first + trials) - first))))
-    return out
-
-
-def pool_size(workers: int, units: int) -> int:
-    """Worker processes to start for `units` work items: `workers`, but never
-    more than there are items."""
-    check_int("workers", workers, 1)
-    return min(workers, units)
+        counts[cell] = _run_cell(config, cell, max(start, first) - first,
+                                 min(stop, first + trials) - first)
+    return counts
 
 
 def sweep(config: ExperimentConfig, workers: int = 1) -> EstimateTable:
@@ -354,33 +344,28 @@ def sweep(config: ExperimentConfig, workers: int = 1) -> EstimateTable:
 
     The work is the flat list of (p, K, trial) units in grid order. One
     worker runs it whole, in this process, one _run_cell call per cell. A
-    pool gets it cut into min(units, 4 * workers) contiguous ranges, one job
-    each, which may span cells or cut one; the counts come back per cell and
-    are added up by cell. Four ranges per worker keep a worker that drew the
-    costlier (higher-K) ranges from idling the other for long, at a few pool
-    round trips per worker."""
+    pool of at most one worker per unit gets it cut into min(units,
+    4 * workers) contiguous ranges, one job each, which may span cells or
+    cut one; the jobs' count arrays are added up. Four ranges per worker
+    keep a worker that drew the costlier (higher-K) ranges from idling the
+    other for long, at a few pool round trips per worker."""
+    check_int("workers", workers, 1)
     _scipy_graph()  # here, not in a trial: forked workers inherit it
-    cells = len(config.K_grid) * len(config.p_grid)
-    units = cells * config.trials
-    workers = pool_size(workers, units)
-    ranges = 1 if workers == 1 else min(units, 4 * workers)
-    cuts = [units * j // ranges for j in range(ranges + 1)]
-    jobs = ([config] * ranges, cuts[:-1], cuts[1:])
+    units = len(config.K_grid) * len(config.p_grid) * config.trials
+    workers = min(workers, units)
     if workers == 1:
-        results = list(map(_run_range, *jobs))
+        counts = _run_range(config, 0, units)
     else:
+        ranges = min(units, 4 * workers)
+        cuts = [units * j // ranges for j in range(ranges + 1)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_range, *jobs))
-    counts = [[0, 0] for _ in range(cells)]
-    for cell, conn, noiso in chain.from_iterable(results):
-        counts[cell][0] += conn
-        counts[cell][1] += noiso
+            counts = sum(pool.map(_run_range, [config] * ranges, cuts[:-1], cuts[1:]))
     return EstimateTable(rows=tuple(
         CellEstimate(channel=config.channel, n=config.n, K=K, p=p,
                      trials=config.trials, count_connected=conn,
                      count_no_isolated=noiso, seed=config.seed)
         for (p, K), (conn, noiso) in zip(product(config.p_grid, config.K_grid),
-                                         counts)))
+                                         counts.tolist())))
 
 
 def find_crossover(table: EstimateTable, p: float, level: float = 0.5,

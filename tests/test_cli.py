@@ -35,9 +35,12 @@ def strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-# two workers where the machine has two CPUs: the CLI rejects more workers
-# than CPUs
-TWO_WORKERS = str(min(2, os.cpu_count() or 1))
+# the CPUs this process may run on, as the CLI counts them
+CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+        else os.cpu_count() or 1)
+# two workers where the process may run on two CPUs: the CLI rejects more
+# workers than CPUs
+TWO_WORKERS = str(min(2, CPUS))
 
 INSTANCE_FILES = ("channel.edges", "pairwise.edges", "intersection.edges",
                   "intersection.components", "pairing.txt")
@@ -316,19 +319,34 @@ class TestSimulateCommand:
         # a pool forks all its workers at once; no_work keeps a regression
         # from starting any
         monkeypatch.setattr(mc, "sweep", no_work)
-        cpus = os.cpu_count() or 1
         argv = ["simulate", "--trials", "1", "--seed", "1",
                 "--out", str(tmp_path / "w.csv")]
         if source == "--workers":
-            argv += ["--workers", str(cpus + 1)]
+            argv += ["--workers", str(CPUS + 1)]
         else:
-            monkeypatch.setenv("PAIRKEY_WORKERS", str(cpus + 1))
+            monkeypatch.setenv("PAIRKEY_WORKERS", str(CPUS + 1))
         assert run(argv) == 1
         captured = capsys.readouterr()
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {source} "), err
-        assert f"CPU count {cpus}," in err[0]
+        assert f"CPU count {CPUS}," in err[0]
         assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_cpu_count_is_the_affinity_set(self, tmp_path, monkeypatch, capsys):
+        # as under `taskset -c 0` on a 2-CPU machine: one CPU to run on
+        monkeypatch.setattr(mc, "sweep", no_work)
+        monkeypatch.delenv("PAIRKEY_WORKERS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert cli._workers(None) == 1
+        assert run(["simulate", "--trials", "1", "--seed", "1", "--workers", "2",
+                    "--out", str(tmp_path / "w.csv")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: --workers must be at most the CPU count 1, got 2"], err
+        # without an affinity call, the CPU count is os.cpu_count()
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert cli._workers(None) == 2
         assert list(tmp_path.iterdir()) == []
 
     def test_env_workers_not_integer_rejected(self, tmp_path, monkeypatch, capsys):
@@ -372,6 +390,33 @@ class TestSimulateCommand:
                   "--trials", "5", "--seed", "2", "--channel", "disk",
                   "--workers", "1", "--out", str(tmp_path / "d.csv")])
         assert rc == 1
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize("message,line", [
+        ("Unable to allocate 7.45 GiB for an array with shape (999500000,)",
+         "error: out of memory: Unable to allocate 7.45 GiB for an array with "
+         "shape (999500000,)"),
+        ("", "error: out of memory")], ids=["numpy", "bare"])
+    @pytest.mark.parametrize("command,name", [
+        (["simulate", "--n", "10", "--K", "2", "--p", "0.5", "--trials", "1",
+          "--workers", "1", "--out", "x.csv"], "sweep"),
+        (["dump-instance", "--outdir", "D"], "sample_instance")],
+        ids=["simulate", "dump-instance"])
+    def test_one_line(self, tmp_path, monkeypatch, capsys, command, name,
+                      message, line):
+        # the patched entry point raises before it allocates anything
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(mc, name, out_of_memory)
+        monkeypatch.chdir(tmp_path)
+        assert run(command + ["--seed", "3"]) == 1
+        captured = capsys.readouterr()
+        # simulate prints its seed before the sweep, dump-instance after
+        assert captured.err.splitlines() == ["seed: 3"] * (name == "sweep") + [line]
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestValidateCommand:

@@ -78,7 +78,7 @@ CASES = [(entry, case) for entry, (rules, _) in ENTRY_POINTS.items()
 
 @pytest.mark.parametrize("entry,case", CASES)
 def test_out_of_domain_rejected(entry, case, tmp_path, monkeypatch):
-    def no_cell(args):
+    def no_cell(*args):
         raise AssertionError("a sweep cell ran")
 
     monkeypatch.setattr(mc, "_run_cell", no_cell)

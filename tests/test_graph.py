@@ -70,6 +70,10 @@ def small_graphs(draw, min_n=1):
     return n, edges
 
 
+# what components and degrees say of edge arrays they cannot take
+EDGES = "1-D arrays of equal length"
+
+
 class TestGraphConstruction:
     @given(st.integers(min_value=2, max_value=8),
            st.integers(min_value=0, max_value=2**32 - 1))
@@ -89,16 +93,21 @@ class TestGraphConstruction:
         with pytest.raises(ValueError):
             components(3, np.array([-1]), np.array([1]))
 
-    @pytest.mark.parametrize("a, b", [
-        ([0, 1, 2], [1, 2, 3, 4]),
-        ([0, 1, 2, 3], [1, 2, 3]),
-        ([[0, 1]], [[1, 2]]),
-        ([0, 1], [[1, 2]]),
-    ], ids=["b-longer", "a-longer", "2-d", "1-d-and-2-d"])
+    @pytest.mark.parametrize("n, a, b, message", [
+        (5, [0, 1, 2], [1, 2, 3, 4], EDGES),
+        (5, [0, 1, 2, 3], [1, 2, 3], EDGES),
+        (5, [[0, 1]], [[1, 2]], EDGES),
+        (5, [0, 1], [[1, 2]], EDGES),
+        (5, [0.0, 1.0], [1.0, 2.0], EDGES),
+        (5, [0, 1], [1.0, 2.0], EDGES),
+        (-1, [], [], "n must be >= 0"),
+        (2.5, [0], [1], "n must be an integer"),
+    ], ids=["b-longer", "a-longer", "2-d", "1-d-and-2-d", "float-ids", "float-b",
+            "negative-n", "float-n"])
     @pytest.mark.parametrize("fn", [components, degrees])
-    def test_rejects_mismatched_edge_arrays(self, fn, a, b):
-        with pytest.raises(ValueError, match="1-D arrays of equal length"):
-            fn(5, np.array(a), np.array(b))
+    def test_rejects_mismatched_edge_arrays(self, fn, n, a, b, message):
+        with pytest.raises(ValueError, match=message):
+            fn(n, np.array(a), np.array(b))
 
     def test_edge_is_unordered_and_deduplicated(self):
         # 0 and 1 pick each other: two picks, one edge

@@ -166,13 +166,6 @@ class TestSweep:
         with pytest.raises(ValueError, match="workers"):
             mc.sweep(SMALL, workers=0)
 
-    def test_pool_size_clamped_to_cells(self):
-        assert mc.pool_size(64, 6) == 6
-        assert mc.pool_size(3, 6) == 3
-        assert mc.pool_size(1, 6) == 1
-        with pytest.raises(ValueError):
-            mc.pool_size(0, 6)
-
     def test_workers_bit_identical(self):
         t1 = mc.sweep(SMALL, workers=1)
         t2 = mc.sweep(SMALL, workers=3)
@@ -204,7 +197,8 @@ class TestSweep:
                 assert r.count_connected == sum(o.connected for o in outs)
                 assert r.count_no_isolated == sum(o.isolated_count == 0 for o in outs)
 
-    @pytest.mark.parametrize("workers", [2, 3, 5])
+    # at 9 workers the 7-unit grid starts a pool of one worker per unit
+    @pytest.mark.parametrize("workers", [2, 3, 5, 9])
     @pytest.mark.parametrize("K_grid,p_grid,trials", [
         ((3,), (0.5,), 7), ((2, 3, 4, 5, 6), (0.3, 0.7), 3),
         (tuple(range(1, 13)), (0.2, 0.6), 2)])
@@ -230,11 +224,10 @@ class TestSweep:
 
         run_cell = mc._run_cell
 
-        def recording_cell(args):
-            n, K, p, seed, channel, ki, pi, start, stop = args
-            assert (K, p) == (K_grid[ki], p_grid[pi])
+        def recording_cell(config, cell, start, stop):
+            pi, ki = divmod(cell, len(K_grid))
             ran.extend((pi, ki, t) for t in range(start, stop))
-            return run_cell(args)
+            return run_cell(config, cell, start, stop)
 
         cfg = mc.ExperimentConfig(n=25, K_grid=K_grid, p_grid=p_grid,
                                   trials=trials, seed=77)
@@ -242,7 +235,8 @@ class TestSweep:
         monkeypatch.setattr(mc, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(mc, "_run_cell", recording_cell)
         assert mc.sweep(cfg, workers=workers) == plain
-        assert pools == [workers]
+        units = len(K_grid) * len(p_grid) * trials
+        assert pools == [min(workers, units)]
         assert 1 < len(jobs) <= 4 * workers
         assert sorted(ran) == list(product(range(len(p_grid)), range(len(K_grid)),
                                            range(trials)))
