@@ -161,10 +161,15 @@ def _write_edges(path: Path, a, b) -> None:
 def dump_instance(n: int, K: int, p: float, seed: int, outdir: str) -> None:
     """Write edge lists for one channel graph, one key-sharing graph, and
     their intersection, plus the intersection's component labels and the
-    pairing (partners ascending), of montecarlo.sample_instance."""
+    pairing (partners ascending), of montecarlo.sample_instance. `outdir` is
+    checked before the O(n^2) draw, and made only after it succeeds."""
     from . import montecarlo as mc
-    partners, keyed, channel, (a, b) = mc.sample_instance(n, K, p, seed)
     out = Path(outdir)
+    base = next(d for d in (out, *out.parents) if d.exists())
+    if not outdir or not (base.is_dir() and os.access(base, os.W_OK)):
+        raise ValueError(f"outdir must be a writable directory or a new path "
+                         f"in one, got {outdir!r}")
+    partners, keyed, channel, (a, b) = mc.sample_instance(n, K, p, seed)
     out.mkdir(parents=True, exist_ok=True)
     _write_edges(out / "channel.edges", *channel)
     _write_edges(out / "pairwise.edges", *keyed)

@@ -105,12 +105,6 @@ def keyed_pairs(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(code, n)
 
 
-def pair_index(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Position of pair (a, b), a < b, in row-major upper-triangle order, the
-    order in which sample_instance draws its C(n,2) on/off uniforms."""
-    return a * (2 * n - a - 1) // 2 + b - a - 1
-
-
 def _intersection_edges(n: int, K: int, p: float, channel: str,
                         rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Sample one intersection graph as sorted edge arrays (a, b), a < b.
@@ -204,17 +198,17 @@ def sample_instance(n: int, K: int, p: float, seed: int):
     (seed, 201, n, K): the partners (n, K), each row ascending, then the
     key-sharing, channel and intersection graphs as sorted edge arrays
     (a, b), a < b. It draws the pairing, then one on/off uniform per pair,
-    in pair_index order, keyed or not."""
+    keyed or not, in row-major upper-triangle order: (0, 1), (0, 2), ..."""
     check_nk(n, K)
     check_p(p)
     check_int("seed", seed, 0)
     rng = rng_from_entropy((seed, 201, n, K))
     gamma = sample_gamma_matrix(n, K, rng)
     a, b = keyed_pairs(gamma)
-    up = rng.random(n * (n - 1) // 2) < p
-    both = up[pair_index(n, a, b)]
-    iu, ju = np.triu_indices(n, k=1)
-    return np.sort(gamma, axis=1), (a, b), (iu[up], ju[up]), (a[both], b[both])
+    chan = np.triu(np.ones((n, n), dtype=bool), 1)
+    chan[chan] = rng.random(n * (n - 1) // 2) < p
+    both = chan[a, b]
+    return np.sort(gamma, axis=1), (a, b), np.nonzero(chan), (a[both], b[both])
 
 
 def _binomial_stderr(q: float, trials: int) -> float:
@@ -486,9 +480,9 @@ def _dense_tile(gamma0: np.ndarray, ub: np.ndarray, p: float,
     picked[np.arange(t)[:, None, None], np.arange(n)[None, :, None], gamma0] = True
     keyed = picked | picked.transpose(0, 2, 1)
 
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
     chan = np.zeros((t, n, n), dtype=bool)
-    iu, ju = np.triu_indices(n, k=1)
-    chan[:, iu, ju] = ub < p
+    chan[:, upper] = ub < p
     chan |= chan.transpose(0, 2, 1)
     adj = keyed & chan
 

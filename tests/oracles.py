@@ -13,8 +13,9 @@ The earlier kernel ranked each node's candidates by n-1 i.i.d. uniforms and
 drew all C(n,2) on/off uniforms; its whole-array form is kept as the
 ranked-uniform sampler (partner_sets, partners_from_uniforms,
 ranked_intersection_edges), which the bound suite's pairings still use and
-against which the kernel's distribution is tested. Also two stand-in
-generators that script or record the kernel's draws."""
+against which the kernel's distribution is tested; its all-pairs on/off draw
+is read at pair_index, a pair's row-major upper-triangle position. Also two
+stand-in generators that script or record the kernel's draws."""
 
 import math
 from collections import Counter, deque
@@ -26,8 +27,14 @@ import numpy as np
 from pairkey import scheme, theory
 from pairkey.montecarlo import (TAIL_T, BoundCheck, ValidationReport, _check,
                                 _binomial_stderr, _rate_check, keyed_pairs,
-                                pair_index, rng_from_entropy)
+                                rng_from_entropy)
 from pairkey.theory import match_rho
+
+
+def pair_index(n, a, b):
+    """Position of pair (a, b), a < b, in row-major upper-triangle order,
+    (0, 1), (0, 2), ..., (n-2, n-1): the order of an all-pairs on/off draw."""
+    return a * (2 * n - a - 1) // 2 + b - a - 1
 
 
 def all_pairings(n, K):

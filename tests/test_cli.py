@@ -512,6 +512,24 @@ class TestDumpInstance:
                     "--p", str(p), "--seed", "1", "--outdir", str(outdir)]) == 1
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("outdir", ["", "taken"], ids=["empty", "file"])
+    def test_bad_outdir_fails_before_draw(self, tmp_path, monkeypatch, capsys, outdir):
+        # an empty --outdir would write into the working directory; a file
+        # in its place would fail only after the O(n^2) draw
+        draws = []
+        sample_instance = mc.sample_instance
+        monkeypatch.setattr(mc, "sample_instance",
+                            lambda *args: draws.append(args) or sample_instance(*args))
+        monkeypatch.chdir(tmp_path)
+        if outdir:
+            (tmp_path / outdir).write_text("kept\n")
+        assert run(["dump-instance", "--seed", "1", "--outdir", outdir]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert draws == []
+        assert [(f.name, f.read_text()) for f in tmp_path.iterdir()] == \
+            [(outdir, "kept\n")] * bool(outdir)
+
     def test_deterministic(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
         args = ["dump-instance", "--n", "15", "--K", "2", "--p", "0.5",

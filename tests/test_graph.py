@@ -16,7 +16,8 @@ from pairkey.scheme import sample_gamma_matrix
 from pairkey.theory import match_rho
 
 from oracles import (RecordingRng, ScriptedRng, component_labels,
-                     intersection_edges, ordered_partners, toroidal_distance)
+                     intersection_edges, ordered_partners, pair_index,
+                     toroidal_distance)
 
 
 def arrays(edges):
@@ -45,7 +46,7 @@ def trial_on(n, edges):
     Fisher-Yates draws are scripted as r_j = j, which swap nothing."""
     u = np.ones(n * (n - 1) // 2)
     if edges:
-        u[mc.pair_index(n, *arrays(edges))] = 0.0
+        u[pair_index(n, *arrays(edges))] = 0.0
     rng = ScriptedRng(np.tile(np.arange(n - 1), (n, 1)), u)
     with mock.patch.object(mc, "rng_from_entropy", lambda entropy: rng):
         return mc.run_trial(n, n - 1, 0.5, "on_off", 0)

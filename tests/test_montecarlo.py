@@ -566,7 +566,7 @@ def assert_matches_columns(report, reference):
 class TestSampleInstance:
     @pytest.mark.parametrize("n,K,p,seed", [(2, 1, 0.5, 3), (6, 5, 0.7, 4),
                                             (12, 3, 1.0, 2), (30, 3, 0.4, 5),
-                                            (50, 5, 0.2, 42)])
+                                            (50, 5, 0.2, 42), (200, 8, 0.3, 7)])
     def test_matches_oracle(self, n, K, p, seed):
         partners, *graphs = mc.sample_instance(n, K, p, seed)
         want = oracles.dump_instance(n, K, p, mc.rng_from_entropy((seed, 201, n, K)))
@@ -574,6 +574,11 @@ class TestSampleInstance:
         assert (np.diff(partners, axis=1) > 0).all()
         for (a, b), pairs in zip(graphs, want[1:]):
             assert list(zip(a.tolist(), b.tolist())) == sorted(pairs)
+
+    def test_holds_no_pair_index_arrays(self):
+        # C(n,2) = 4.5M pairs at n=3000: with two int64 triu_indices arrays
+        # and the keyed pairs' int64 positions it peaked at 87.7 MB here
+        assert peak_mb(lambda: mc.sample_instance(3000, 10, 0.2, 1)) < 64
 
 
 class TestIsolatedCountMean:
