@@ -6,6 +6,11 @@ of the pairing, filtered by the channel. A trial builds no n x n array and
 draws O(nK) random numbers: the pairing (scheme.sample_gamma_matrix), then
 one on/off uniform per keyed pair, or n positions for disk, whose distances
 are computed at the keyed pairs only. So a trial takes O(nK) time and memory.
+The keyed pairs are found as codes min * n + max of the nK picks, built in
+place, in int32 while n * n fits (n <= 46340) and int64 beyond, then sorted
+and deduplicated (_pair_codes); on/off draws its uniforms over the codes and
+splits only the kept ones into (a, b). The draw order and every output are
+those of int64 pair arrays.
 (validate_bounds, for small n only, runs dense matrices over tiles of
 samples instead, and ranks uniforms for its pairings, as estimate_edge_prob
 does; both draw them through scheme.uniform_rows.)
@@ -33,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import theory
+from . import scheme, theory
 from .channels import toroidal_distance_matrix
 from .scheme import draw_partners, sample_gamma_matrix, uniform_rows
 from .theory import check_channel, check_int, check_nk, check_p, match_rho
@@ -93,16 +98,29 @@ class ExperimentConfig:
         object.__setattr__(self, "p_grid", tuple(map(float, p_grid)))
 
 
-def keyed_pairs(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Key-sharing graph of a pairing as edge arrays (a, b) with a < b,
-    sorted by (a, b): {i, j} is an edge iff i picked j or j picked i."""
+def _pair_codes(gamma: np.ndarray) -> np.ndarray:
+    """Sorted distinct codes min(i, j) * n + max(i, j) of the keyed pairs
+    {i, j} of a pairing, in int32 where n * n fits, else int64."""
     n, K = gamma.shape
-    i = np.repeat(np.arange(n), K)
-    j = gamma.ravel()
+    dtype = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
+    i = np.arange(n, dtype=dtype)[:, None]
+    j = gamma.astype(dtype)
+    code = np.maximum(i, j).ravel()
+    np.minimum(i, j, out=j)
+    j *= n
+    code += j.ravel()
     # np.unique is an order of magnitude slower than sort plus compare here
-    code = np.sort(np.minimum(i, j) * n + np.maximum(i, j))
-    code = code[np.concatenate(([True], code[1:] != code[:-1]))]
-    return np.divmod(code, n)
+    code.sort()
+    new = np.empty(code.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(code[1:], code[:-1], out=new[1:])
+    return code[new]
+
+
+def keyed_pairs(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Key-sharing graph of a pairing as int64 edge arrays (a, b) with
+    a < b, sorted by (a, b): {i, j} is an edge iff i picked j or j picked i."""
+    return np.divmod(_pair_codes(gamma).astype(np.int64, copy=False), len(gamma))
 
 
 def _intersection_edges(n: int, K: int, p: float, channel: str,
@@ -111,14 +129,14 @@ def _intersection_edges(n: int, K: int, p: float, channel: str,
 
     The pairing is drawn first, then the channel: one on/off uniform per
     keyed pair, in (a, b) order, or n positions for disk. Only keyed pairs
-    are tested against the channel.
+    are tested against the channel; on/off splits only the kept pair codes.
     """
-    a, b = keyed_pairs(sample_gamma_matrix(n, K, rng))
     if channel == "on_off":
-        up = rng.random(a.size) < p
-    else:
-        rho = match_rho(p, channel)
-        up = toroidal_distance_matrix(rng.random((n, 2)), a, b) < rho
+        code = _pair_codes(sample_gamma_matrix(n, K, rng))
+        return np.divmod(code[rng.random(code.size) < p], n)
+    # int64 pairs: int32 index arrays slow the distance step
+    a, b = keyed_pairs(sample_gamma_matrix(n, K, rng))
+    up = toroidal_distance_matrix(rng.random((n, 2)), a, b) < match_rho(p, channel)
     return a[up], b[up]
 
 
@@ -206,7 +224,11 @@ def sample_instance(n: int, K: int, p: float, seed: int):
     gamma = sample_gamma_matrix(n, K, rng)
     a, b = keyed_pairs(gamma)
     chan = np.triu(np.ones((n, n), dtype=bool), 1)
-    chan[chan] = rng.random(n * (n - 1) // 2) < p
+    # a block of rows at a time: PCG64 gives the same doubles in blocks
+    step = max(1, scheme._BLOCK // n)
+    for r in range(0, n, step):
+        blk = chan[r:r + step]
+        blk[blk] = rng.random(np.count_nonzero(blk)) < p
     both = chan[a, b]
     return np.sort(gamma, axis=1), (a, b), np.nonzero(chan), (a[both], b[both])
 

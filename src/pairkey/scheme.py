@@ -132,8 +132,11 @@ def sample_gamma_matrix(n: int, K: int, rng: np.random.Generator) -> np.ndarray:
         cand = x[:, :K].copy()
         # most rows repeat no value in their first K draws: only the others
         # need the sort of _distinct_prefix
-        s = np.sort(cand, axis=1)
-        repeat = (s[:, 1:] == s[:, :-1]).any(axis=1)
+        s = np.sort(cand, axis=1).ravel()
+        same = s[1:] == s[:-1]
+        same[K - 1::K] = False  # compares across a row boundary
+        repeat = np.zeros(n, dtype=bool)
+        repeat[np.flatnonzero(same) // K] = True
         cand[repeat] = _distinct_prefix(x[repeat], K, m, extra, rng)
     cand += cand >= np.arange(n)[:, None]
     return cand

@@ -14,8 +14,11 @@ drew all C(n,2) on/off uniforms; its whole-array form is kept as the
 ranked-uniform sampler (partner_sets, partners_from_uniforms,
 ranked_intersection_edges), which the bound suite's pairings still use and
 against which the kernel's distribution is tested; its all-pairs on/off draw
-is read at pair_index, a pair's row-major upper-triangle position. Also two
-stand-in generators that script or record the kernel's draws."""
+is read at pair_index, a pair's row-major upper-triangle position. The
+kernel's earlier int64 stages are kept too: keyed_pairs, one sort of int64
+pair codes and a full divmod, and the pairing with its per-row repeat scan
+(row_scan_gamma_matrix). Also two stand-in generators that script or record
+the kernel's draws."""
 
 import math
 from collections import Counter, deque
@@ -26,9 +29,40 @@ import numpy as np
 
 from pairkey import scheme, theory
 from pairkey.montecarlo import (TAIL_T, BoundCheck, ValidationReport, _check,
-                                _binomial_stderr, _rate_check, keyed_pairs,
-                                rng_from_entropy)
+                                _binomial_stderr, _rate_check, rng_from_entropy)
 from pairkey.theory import match_rho
+
+
+def keyed_pairs(gamma):
+    """Key-sharing graph of a pairing as int64 edge arrays (a, b), a < b,
+    sorted by (a, b): one sort of the int64 codes min * n + max of all nK
+    picks, a compare that keeps each code's first copy, and a divmod of all
+    the kept codes."""
+    n, K = gamma.shape
+    i = np.repeat(np.arange(n), K)
+    j = gamma.ravel()
+    code = np.sort(np.minimum(i, j) * n + np.maximum(i, j))
+    code = code[np.concatenate(([True], code[1:] != code[:-1]))]
+    return np.divmod(code, n)
+
+
+def row_scan_gamma_matrix(n, K, rng):
+    """scheme.sample_gamma_matrix with its repeat rows found per row: the
+    (n, K-1) compare of each sorted row's neighbours and any() along it.
+    Its pieces (draw_widths, _distinct_prefix, _permutation_prefix) are
+    looked up at call time."""
+    m = n - 1
+    if 2 * K > m:
+        cand = scheme._permutation_prefix(n, m, K, rng)
+    else:
+        width, extra = scheme.draw_widths(m, K)
+        x = rng.integers(0, m, size=(n, width))
+        cand = x[:, :K].copy()
+        s = np.sort(cand, axis=1)
+        repeat = (s[:, 1:] == s[:, :-1]).any(axis=1)
+        cand[repeat] = scheme._distinct_prefix(x[repeat], K, m, extra, rng)
+    cand += cand >= np.arange(n)[:, None]
+    return cand
 
 
 def pair_index(n, a, b):

@@ -78,7 +78,8 @@ class TestRunTrial:
     @pytest.mark.parametrize("channel", ["on_off", "disk_forced"])
     def test_trial_is_order_nk(self, channel):
         # n = 10^5: drawing n(n-1) pairing uniforms to rank would take about
-        # a minute; an O(nK) trial takes about 0.1 s and 140 MB (x86-64, numpy 2.4)
+        # a minute; an O(nK) trial takes about 0.07 s and 114 MB on on/off,
+        # 0.1 s and 139 MB on disk (x86-64, numpy 2.4)
         def trial():
             return mc.run_trial(100_000, 36, 0.2, channel, 3)
 
@@ -91,6 +92,26 @@ class TestRunTrial:
         # the all-pairs distance matrix alone is 69 MB at n=3000; the
         # matrix form peaked at 206 MB here
         assert peak_mb(lambda: mc.run_trial(3000, 10, 0.5, "disk_forced", 1)) < 16
+
+    @pytest.mark.parametrize("n", [46340, 46341])
+    @pytest.mark.parametrize("K", [1, 2])
+    def test_pair_code_width_boundary(self, n, K):
+        # pair codes are int32 up to n = 46340, where n * n still fits, and
+        # int64 from n = 46341; both sides must match the int64 oracles
+        gamma = scheme.sample_gamma_matrix(n, K, np.random.default_rng(n + K))
+        for x, y in zip(mc.keyed_pairs(gamma), oracles.keyed_pairs(gamma)):
+            assert x.dtype == np.int64 and np.array_equal(x, y)
+        for p in (1.0, 0.9):
+            e = mc.trial_entropy(7, "on_off", n, K, 0, 0)
+            got = mc._intersection_edges(n, K, p, "on_off", mc.rng_from_entropy(e))
+            want = oracles.intersection_edges(n, K, p, "on_off", mc.rng_from_entropy(e))
+            for x, y in zip(got, want):
+                assert np.array_equal(x, y)
+        # the disk oracle reads an all-pairs matrix, too large here
+        for channel, p in (("on_off", 1.0), ("on_off", 0.9), ("disk_forced", 0.9)):
+            e = mc.trial_entropy(7, channel, n, K, 0, 0)
+            assert mc.run_trial(n, K, p, channel, e) == \
+                object_path_trial(n, K, p, channel, e)
 
     def test_full_visibility_connected(self):
         hits = sum(
@@ -579,6 +600,21 @@ class TestSampleInstance:
         # C(n,2) = 4.5M pairs at n=3000: with two int64 triu_indices arrays
         # and the keyed pairs' int64 positions it peaked at 87.7 MB here
         assert peak_mb(lambda: mc.sample_instance(3000, 10, 0.2, 1)) < 64
+
+    def test_draws_link_uniforms_a_block_of_rows_at_a_time(self):
+        # one C(n,2) float64 draw made 36 MB of a 47.9 MB peak here; blocks
+        # of rows leave about the n * n bytes of the mask and its triangle
+        assert peak_mb(lambda: mc.sample_instance(3000, 10, 0.2, 1)) < 32
+
+    # blocks of 1, 2 and 7 of the 40 rows, the last one short
+    @pytest.mark.parametrize("block", [40, 100, 300])
+    def test_output_does_not_depend_on_block_size(self, monkeypatch, block):
+        want = mc.sample_instance(40, 3, 0.4, 6)
+        monkeypatch.setattr(scheme, "_BLOCK", block)
+        got = mc.sample_instance(40, 3, 0.4, 6)
+        assert np.array_equal(got[0], want[0])
+        for x, y in zip(got[1:], want[1:]):
+            assert all(np.array_equal(u, v) for u, v in zip(x, y))
 
 
 class TestIsolatedCountMean:

@@ -15,6 +15,7 @@ from pairkey.cli import dump_instance
 from pairkey.montecarlo import degrees, estimate_edge_prob, keyed_pairs
 from pairkey.scheme import draw_partners, sample_gamma_matrix, uniform_rows
 
+import oracles
 from oracles import (RecordingRng, ScriptedRng, key_rings, ordered_partners,
                      partner_sets, partners_from_uniforms)
 
@@ -145,6 +146,93 @@ class TestSamplePairing:
             for t in range(3):
                 assert partner_list(batch[t]) == \
                     partner_list(draw_partners((n,), K, r))
+
+
+# every sampler regime: 2K <= n-1 (integer draws), 2K > n-1 (permutation
+# prefixes), K = n-1
+REGIMES = [(2, 1), (3, 1), (3, 2), (5, 1), (5, 2), (5, 3), (5, 4), (12, 1),
+           (12, 3), (12, 5), (12, 6), (12, 11), (200, 1), (200, 12), (200, 99),
+           (200, 100), (200, 199), (4000, 1), (4000, 20), (4000, 1999),
+           (4000, 2000)]
+
+
+def assert_same_pairing(n, K, seed, r=None):
+    """sample_gamma_matrix against the per-row repeat scan: equal arrays,
+    equal dtypes, and the same next draw from the generator."""
+    r = r or rng(seed)
+    want_rng = rng(seed)
+    got = sample_gamma_matrix(n, K, r)
+    want = oracles.row_scan_gamma_matrix(n, K, want_rng)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert np.array_equal(r.random(4), want_rng.random(4))
+
+
+class TestRepeatScan:
+    """The sampler finds its repeat rows by one flat compare over the
+    row-sorted first K columns; it must pick the rows the per-row compare
+    picks."""
+
+    @pytest.mark.parametrize("n,K", REGIMES)
+    def test_matches_row_scan(self, n, K):
+        for seed in range(3):
+            assert_same_pairing(n, K, 10 * n + K + seed)
+
+    # apart from REGIMES: the keyed-pairs oracle on its 16M picks is slow
+    def test_complete_at_n_4000(self):
+        assert_same_pairing(4000, 3999, 1)
+
+    @pytest.mark.parametrize("n,K", [(12, 5), (200, 12), (200, 99), (1000, 20)])
+    def test_repeats_without_top_ups(self, n, K):
+        # rows that repeat a value within their first K draws, all filled
+        # from the first batch: one integer draw, then the next-draw check
+        seen = False
+        for seed in range(10):
+            r = RecordingRng(rng(seed))
+            assert_same_pairing(n, K, seed, r)
+            first = np.sort(r.draws[0][:, :K], axis=1)
+            seen |= len(r.draws) == 2 and (first[:, 1:] == first[:, :-1]).any()
+        assert seen
+
+    @pytest.mark.parametrize("n,K", [(5, 2), (12, 3), (12, 5), (200, 12), (200, 99)])
+    def test_repeats_with_top_ups(self, monkeypatch, n, K):
+        # no margin and a top-up of one draw: rows come up short, some
+        # several times over
+        monkeypatch.setattr(scheme, "draw_widths", lambda m, K: (K, 1))
+        top_ups = []
+        for seed in range(10):
+            r = RecordingRng(rng(seed))
+            assert_same_pairing(n, K, seed, r)
+            top_ups.append(len(r.draws) - 2)
+        assert max(top_ups) > 1
+
+
+class TestPairCodes:
+    @pytest.mark.parametrize("n,K", REGIMES)
+    def test_keyed_pairs_match_int64_oracle(self, n, K):
+        gamma = sample_gamma_matrix(n, K, rng(n + K))
+        got, want = keyed_pairs(gamma), oracles.keyed_pairs(gamma)
+        for x, y in zip(got, want):
+            assert x.dtype == y.dtype == np.int64
+            assert np.array_equal(x, y)
+        # an int32 pairing gives the same int64 arrays
+        for x, y in zip(keyed_pairs(gamma.astype(np.int32)), want):
+            assert x.dtype == np.int64 and np.array_equal(x, y)
+
+    @pytest.mark.parametrize("n,dtype", [(4000, np.int32), (46340, np.int32),
+                                         (46341, np.int64)])
+    def test_narrowest_dtype_that_holds_n_squared(self, n, dtype):
+        gamma = sample_gamma_matrix(n, 1, rng(n))
+        code = mc._pair_codes(gamma)
+        assert code.dtype == dtype
+        a, b = oracles.keyed_pairs(gamma)
+        assert np.array_equal(code, a * n + b)
+
+    def test_leaves_the_pairing_unchanged(self):
+        gamma = sample_gamma_matrix(30, 4, rng(3))
+        before = gamma.copy()
+        mc._pair_codes(gamma)
+        assert np.array_equal(gamma, before)
 
 
 def ordered_sequences(n, K, calls, seed):
