@@ -8,9 +8,9 @@ one on/off uniform per keyed pair, or n positions for disk, whose distances
 are computed at the keyed pairs only. So a trial takes O(nK) time and memory.
 The keyed pairs are found as codes min * n + max of the nK picks, built in
 place, in int32 while n * n fits (n <= 46340) and int64 beyond, then sorted
-and deduplicated (_pair_codes); on/off draws its uniforms over the codes and
-splits only the kept ones into (a, b). The draw order and every output are
-those of int64 pair arrays.
+and deduplicated (_pair_codes). One split (_edges) turns codes into int64
+(a, b): on/off draws its uniforms over the codes and splits only the kept
+ones, disk splits them all (keyed_pairs) before its distance mask.
 (validate_bounds, for small n only, runs dense matrices over tiles of
 samples instead, and ranks uniforms for its pairings, as estimate_edge_prob
 does; both draw them through scheme.uniform_rows.)
@@ -111,21 +111,43 @@ def _pair_codes(gamma: np.ndarray) -> np.ndarray:
     code += j.ravel()
     # np.unique is an order of magnitude slower than sort plus compare here
     code.sort()
-    new = np.empty(code.size, dtype=bool)
-    new[:1] = True
+    new = np.ones(code.size, dtype=bool)
     np.not_equal(code[1:], code[:-1], out=new[1:])
     return code[new]
 
 
+def _edges(code: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted pair codes a * n + b as int64 edge arrays (a, b), by a floor
+    division in the codes' dtype and a multiply-subtract: numpy's divmod, which
+    has no fast path for one divisor, took about three times as long."""
+    a = (code // n).astype(np.int64, copy=False)
+    b = a * n
+    np.subtract(code, b, out=b)
+    return a, b
+
+
+def _describe(x) -> str:
+    """An array's dtype and shape, or the type of anything else."""
+    return f"{x.dtype} {x.shape}" if isinstance(x, np.ndarray) else type(x).__name__
+
+
 def keyed_pairs(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Key-sharing graph of a pairing as int64 edge arrays (a, b) with
-    a < b, sorted by (a, b): {i, j} is an edge iff i picked j or j picked i."""
-    return np.divmod(_pair_codes(gamma).astype(np.int64, copy=False), len(gamma))
+    a < b, sorted by (a, b): {i, j} is an edge iff i picked j or j picked i.
+    gamma is a 2-D integer array whose row i holds ids in [0, n) other than i."""
+    if not (isinstance(gamma, np.ndarray) and gamma.ndim == 2
+            and gamma.dtype.kind in "iu"):
+        raise ValueError(f"a pairing must be a 2-D integer array, got {_describe(gamma)}")
+    n = len(gamma)
+    if gamma.size and (gamma.min() < 0 or gamma.max() >= n
+                       or (gamma == np.arange(n)[:, None]).any()):
+        raise ValueError(f"row i of a pairing must hold ids in [0, {n}) other than i")
+    return _edges(_pair_codes(gamma), n)
 
 
 def _intersection_edges(n: int, K: int, p: float, channel: str,
                         rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Sample one intersection graph as sorted edge arrays (a, b), a < b.
+    """Sample one intersection graph as sorted int64 edge arrays (a, b), a < b.
 
     The pairing is drawn first, then the channel: one on/off uniform per
     keyed pair, in (a, b) order, or n positions for disk. Only keyed pairs
@@ -133,8 +155,7 @@ def _intersection_edges(n: int, K: int, p: float, channel: str,
     """
     if channel == "on_off":
         code = _pair_codes(sample_gamma_matrix(n, K, rng))
-        return np.divmod(code[rng.random(code.size) < p], n)
-    # int64 pairs: int32 index arrays slow the distance step
+        return _edges(code[rng.random(code.size) < p], n)
     a, b = keyed_pairs(sample_gamma_matrix(n, K, rng))
     up = toroidal_distance_matrix(rng.random((n, 2)), a, b) < match_rho(p, channel)
     return a[up], b[up]
@@ -159,11 +180,12 @@ def _sparse_components(*args, **kwargs):
 def _check_edges(n: int, a: np.ndarray, b: np.ndarray) -> None:
     """Edges (a, b) on nodes 0..n-1: 1-D integer arrays, equal length, ids in [0, n)."""
     check_int("n", n, 0)
-    ints = np.issubdtype(a.dtype, np.integer) and np.issubdtype(b.dtype, np.integer)
+    ints = isinstance(a, np.ndarray) and isinstance(b, np.ndarray) \
+        and a.dtype.kind in "iu" and b.dtype.kind in "iu"
     if not ints or a.ndim != 1 or a.shape != b.shape or a.size and (
             min(a.min(), b.min()) < 0 or max(a.max(), b.max()) >= n):
         raise ValueError(f"edges must be two 1-D arrays of equal length of integers in "
-                         f"[0, {n}), got {a.dtype} {a.shape} and {b.dtype} {b.shape}")
+                         f"[0, {n}), got {_describe(a)} and {_describe(b)}")
 
 
 def components(n: int, a: np.ndarray, b: np.ndarray, return_labels: bool = False):
@@ -174,11 +196,6 @@ def components(n: int, a: np.ndarray, b: np.ndarray, return_labels: bool = False
     (float64 data, int32 indices), so scipy neither converts nor copies them;
     that constructor does not check the edges, so they are checked here."""
     _check_edges(n, a, b)
-    return _components(n, a, b, return_labels)
-
-
-def _components(n: int, a: np.ndarray, b: np.ndarray, return_labels: bool = False):
-    """`components` without the edge check, for edges already checked."""
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(a, minlength=n), out=indptr[1:])
     # a no-op pass on the kernel's edges, which come sorted by a
@@ -197,7 +214,8 @@ def run_trial(n: int, K: int, p: float, channel: str, trial_seed) -> TrialOutcom
     """Sample one pairing, one channel graph, intersect, and measure.
 
     trial_seed is an int or a tuple of ints (see trial_entropy); identical
-    seeds give identical outcomes.
+    seeds give identical outcomes. The intersection's int64 edge arrays go
+    through `degrees`, then `components`, each of which checks them.
     """
     check_nk(n, K)
     check_p(p)
@@ -205,9 +223,8 @@ def run_trial(n: int, K: int, p: float, channel: str, trial_seed) -> TrialOutcom
     rng = rng_from_entropy(trial_seed)
     a, b = _intersection_edges(n, K, p, channel, rng)
     iso = int(np.count_nonzero(degrees(n, a, b) == 0))
-    # an isolated node settles connectivity without the component search;
-    # degrees has checked the edges
-    connected = iso == 0 and _components(n, a, b) == 1
+    # an isolated node settles connectivity without the component search
+    connected = iso == 0 and components(n, a, b) == 1
     return TrialOutcome(connected=connected, isolated_count=iso, edge_count=int(a.size))
 
 

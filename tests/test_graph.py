@@ -95,20 +95,38 @@ class TestGraphConstruction:
             components(3, np.array([-1]), np.array([1]))
 
     @pytest.mark.parametrize("n, a, b, message", [
-        (5, [0, 1, 2], [1, 2, 3, 4], EDGES),
-        (5, [0, 1, 2, 3], [1, 2, 3], EDGES),
-        (5, [[0, 1]], [[1, 2]], EDGES),
-        (5, [0, 1], [[1, 2]], EDGES),
-        (5, [0.0, 1.0], [1.0, 2.0], EDGES),
-        (5, [0, 1], [1.0, 2.0], EDGES),
-        (-1, [], [], "n must be >= 0"),
-        (2.5, [0], [1], "n must be an integer"),
+        (5, np.array([0, 1, 2]), np.array([1, 2, 3, 4]), EDGES),
+        (5, np.array([0, 1, 2, 3]), np.array([1, 2, 3]), EDGES),
+        (5, np.array([[0, 1]]), np.array([[1, 2]]), EDGES),
+        (5, np.array([0, 1]), np.array([[1, 2]]), EDGES),
+        (5, np.array([0.0, 1.0]), np.array([1.0, 2.0]), EDGES),
+        (5, np.array([0, 1]), np.array([1.0, 2.0]), EDGES),
+        (-1, np.array([]), np.array([]), "n must be >= 0"),
+        (2.5, np.array([0]), np.array([1]), "n must be an integer"),
+        # the message names the type of what is not an array
+        (3, [0], [1], EDGES + r".*got list and list$"),
     ], ids=["b-longer", "a-longer", "2-d", "1-d-and-2-d", "float-ids", "float-b",
-            "negative-n", "float-n"])
+            "negative-n", "float-n", "lists"])
     @pytest.mark.parametrize("fn", [components, degrees])
     def test_rejects_mismatched_edge_arrays(self, fn, n, a, b, message):
         with pytest.raises(ValueError, match=message):
-            fn(n, np.array(a), np.array(b))
+            fn(n, a, b)
+
+    @pytest.mark.parametrize("gamma, message", [
+        (np.array([[5], [0]]), r"ids in \[0, 2\) other than i"),
+        (np.array([[0], [0]]), r"ids in \[0, 2\) other than i"),
+        (np.array([[1], [-1]]), r"ids in \[0, 2\) other than i"),
+        (np.array([[1, 2], [2, 0], [1, 2]]), r"ids in \[0, 3\) other than i"),
+        (np.array([[1.0], [0.0]]), "2-D integer array, got float64"),
+        (np.array([[True], [False]]), "2-D integer array, got bool"),
+        (np.array([1, 0]), r"2-D integer array, got int64 \(2,\)"),
+        ([[1], [0]], "2-D integer array, got list$"),
+    ], ids=["id-past-n", "self-loop", "negative-id", "self-in-last-row",
+            "float", "bool", "1-d", "list"])
+    def test_keyed_pairs_rejects_malformed_pairing(self, gamma, message):
+        # only n rows of node ids, none the row's own, give edges with a < b < n
+        with pytest.raises(ValueError, match=message):
+            keyed_pairs(gamma)
 
     def test_edge_is_unordered_and_deduplicated(self):
         # 0 and 1 pick each other: two picks, one edge

@@ -97,7 +97,7 @@ class TestRunTrial:
     @pytest.mark.parametrize("K", [1, 2])
     def test_pair_code_width_boundary(self, n, K):
         # pair codes are int32 up to n = 46340, where n * n still fits, and
-        # int64 from n = 46341; both sides must match the int64 oracles
+        # int64 from n = 46341; both sides give int64 edges equal to the oracles
         gamma = scheme.sample_gamma_matrix(n, K, np.random.default_rng(n + K))
         for x, y in zip(mc.keyed_pairs(gamma), oracles.keyed_pairs(gamma)):
             assert x.dtype == np.int64 and np.array_equal(x, y)
@@ -106,8 +106,12 @@ class TestRunTrial:
             got = mc._intersection_edges(n, K, p, "on_off", mc.rng_from_entropy(e))
             want = oracles.intersection_edges(n, K, p, "on_off", mc.rng_from_entropy(e))
             for x, y in zip(got, want):
-                assert np.array_equal(x, y)
-        # the disk oracle reads an all-pairs matrix, too large here
+                assert x.dtype == np.int64 and np.array_equal(x, y)
+        # the disk oracle reads an all-pairs matrix, too large here; the
+        # edges are int64 on both sides of the boundary, as on on/off
+        e = mc.trial_entropy(7, "disk_forced", n, K, 0, 0)
+        for x in mc._intersection_edges(n, K, 0.9, "disk_forced", mc.rng_from_entropy(e)):
+            assert x.dtype == np.int64
         for channel, p in (("on_off", 1.0), ("on_off", 0.9), ("disk_forced", 0.9)):
             e = mc.trial_entropy(7, channel, n, K, 0, 0)
             assert mc.run_trial(n, K, p, channel, e) == \
