@@ -17,9 +17,12 @@ does; both draw them through scheme.uniform_rows.)
 
 Every trial is seeded by a counter-based derivation from
 (master seed, channel tag, n, K-index, p-index, trial index), so results are
-bit-identical regardless of execution order or worker count; a pooled sweep
-hands its workers a few contiguous ranges of the grid's trials each, which
-may span cells, and adds up the (cells, 2) count arrays they return.
+bit-identical regardless of execution order or worker count. A sweep asked
+for more than one worker first runs the grid's last trial in-process and
+times it; only when that time, times the number of trials, reaches
+POOL_MIN_S does a pool run the rest, its workers taking a few contiguous
+ranges of the grid's trials each, which may span cells. The (cells, 2)
+count arrays of all parts are added up.
 
 Importing this module loads numpy but not scipy. scipy.sparse, which only
 `components` uses, loads in the first `sweep` or `components` call; `sweep`
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import math
 import operator
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
 from itertools import combinations, product
@@ -46,6 +50,15 @@ from .theory import check_channel, check_int, check_nk, check_p, match_rho
 _CHANNEL_TAGS = {"on_off": 1, "disk": 2, "disk_forced": 3}
 TAIL_T = 0.5  # validate_bounds' estar_tail: P(count <= (1 - TAIL_T) * mean)
 R = 2  # validate_bounds' inside nodes 0, 1; _dense_tile reads them and node 2 by index
+# Least projected CPU time (one timed trial x trials) for which a sweep
+# starts a pool. An empty 2-worker pool takes 10-12 ms to start and stop, and
+# a pooled sweep also pays its workers' first page faults and its last
+# range's wait: 6 trials at n=4000 (projected 20-90 ms, the most on a
+# process's first sweep) ran 37.6 ms pooled against 16 ms in-process, while
+# the fig2 and fig4 presets at 2-4 trials a cell (projected 160-400 ms and
+# more) gain from 2 workers. 0.12 s is about 1.35 times the first and 1/1.35
+# of the second, so noise in one timed trial moves neither across it.
+POOL_MIN_S = 0.12
 
 
 def trial_entropy(seed: int, channel: str, n: int, k_index: int,
@@ -94,6 +107,9 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be non-empty, without repeats, got {grid}")
         check_int("trials", self.trials, 1)
         check_int("seed", self.seed, 0)
+        # plain Python numbers, so a table's rows serialise to JSON
+        for name in ("n", "trials", "seed"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         object.__setattr__(self, "K_grid", tuple(map(int, K_grid)))
         object.__setattr__(self, "p_grid", tuple(map(float, p_grid)))
 
@@ -376,12 +392,16 @@ def sweep(config: ExperimentConfig, workers: int = 1) -> EstimateTable:
     worker count; trials are seeded independently of scheduling.
 
     The work is the flat list of (p, K, trial) units in grid order. One
-    worker runs it whole, in this process, one _run_cell call per cell. A
-    pool of at most one worker per unit gets it cut into min(units,
-    4 * workers) contiguous ranges, one job each, which may span cells or
-    cut one; the jobs' count arrays are added up. Four ranges per worker
-    keep a worker that drew the costlier (higher-K) ranges from idling the
-    other for long, at a few pool round trips per worker."""
+    worker runs it whole, in this process, one _run_cell call per cell.
+    More workers first run the last unit in this process and time its CPU
+    time: if that time, times the number of units, is under POOL_MIN_S, or
+    one unit is left, the rest runs in this process too, since a pool would
+    cost more to start than it saves. Otherwise min(workers, units - 1)
+    workers get the rest cut into min(units - 1, 4 * workers) contiguous
+    ranges, one job each, which may span cells or cut one. The parts' count
+    arrays are added up. Four ranges per worker keep a worker that drew the
+    costlier (higher-K) ranges from idling the other for long, at a few
+    pool round trips per worker."""
     check_int("workers", workers, 1)
     _scipy_graph()  # here, not in a trial: forked workers inherit it
     units = len(config.K_grid) * len(config.p_grid) * config.trials
@@ -389,10 +409,19 @@ def sweep(config: ExperimentConfig, workers: int = 1) -> EstimateTable:
     if workers == 1:
         counts = _run_range(config, 0, units)
     else:
-        ranges = min(units, 4 * workers)
-        cuts = [units * j // ranges for j in range(ranges + 1)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            counts = sum(pool.map(_run_range, [config] * ranges, cuts[:-1], cuts[1:]))
+        rest = units - 1
+        start = time.process_time()
+        counts = _run_range(config, rest, units)
+        projected = (time.process_time() - start) * units
+        workers = min(workers, rest)
+        if workers == 1 or projected < POOL_MIN_S:
+            counts += _run_range(config, 0, rest)
+        else:
+            ranges = min(rest, 4 * workers)
+            cuts = [rest * j // ranges for j in range(ranges + 1)]
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                counts += sum(pool.map(_run_range, [config] * ranges,
+                                       cuts[:-1], cuts[1:]))
     return EstimateTable(rows=tuple(
         CellEstimate(channel=config.channel, n=config.n, K=K, p=p,
                      trials=config.trials, count_connected=conn,

@@ -11,6 +11,7 @@ candidates by i.i.d. uniforms instead, drawn a block of rows at a time
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -49,13 +50,15 @@ def draw_partners(shape: tuple[int, ...], K: int,
     return out
 
 
+@functools.lru_cache
 def draw_widths(m: int, K: int) -> tuple[int, int]:
     """Draws per row, in the first batch and in each top-up, for K distinct
     values out of m. The repeats drawn before the K-th distinct value add
     up K geometric counts, of mean j/(m-j) and variance jm/(m-j)^2 for
     j < K; the first batch covers their mean plus three standard deviations,
     and a top-up draws that margin again. Exactly rounded sums make the
-    widths the same on every platform."""
+    widths the same on every platform. Cached: a sweep asks for the same
+    few (m, K) on every trial."""
     repeats = math.fsum(j / (m - j) for j in range(K))
     var = math.fsum(j * m / (m - j) ** 2 for j in range(K))
     extra = math.ceil(repeats + 3.0 * math.sqrt(var))

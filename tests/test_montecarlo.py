@@ -1,3 +1,4 @@
+import json
 import math
 import time
 import tracemalloc
@@ -175,6 +176,15 @@ class TestConfig:
         assert cfg.K_grid == (2,) and type(cfg.K_grid[0]) is int
         assert cfg.p_grid == (1.0,) and type(cfg.p_grid[0]) is float
 
+    @pytest.mark.parametrize("field", ["n", "trials", "seed"])
+    def test_numpy_integers_normalised_for_json(self, field):
+        kwargs = {"n": 10, "K_grid": (2,), "p_grid": (1.0,), "trials": 3, "seed": 5}
+        cfg = mc.ExperimentConfig(**kwargs | {field: np.int64(kwargs[field])})
+        assert type(getattr(cfg, field)) is int
+        table = mc.sweep(cfg)
+        text = json.dumps(table.to_json_obj())
+        assert mc.EstimateTable.from_json_obj(json.loads(text)) == table
+
 
 SMALL = mc.ExperimentConfig(n=25, K_grid=(2, 4, 6), p_grid=(0.3, 0.8),
                             trials=40, seed=77)
@@ -191,7 +201,8 @@ class TestSweep:
         with pytest.raises(ValueError, match="workers"):
             mc.sweep(SMALL, workers=0)
 
-    def test_workers_bit_identical(self):
+    def test_workers_bit_identical(self, monkeypatch):
+        monkeypatch.setattr(mc, "POOL_MIN_S", 0.0)  # a real pool, however fast
         t1 = mc.sweep(SMALL, workers=1)
         t2 = mc.sweep(SMALL, workers=3)
         assert t1 == t2
@@ -203,12 +214,15 @@ class TestSweep:
         pytest.param((2, 3, 4), (0.3, 0.7), 3, id="two_p_three_K"),
         pytest.param((2, 3, 4, 5, 6), (0.3, 0.7), 3, id="ranges_span_cells"),
     ])
-    def test_trial_blocks_match_a_plain_loop(self, K_grid, p_grid, trials):
-        # at 2 and 3 workers the (p, K, trial) units are cut into at most 8
-        # or 12 ranges: one trial each for the first two grids, ranges that
-        # cut cells for the third, and for the last, ranges that take one
-        # cell whole and part of the next; with two p values a sum that took
-        # K for p would give other counts
+    def test_trial_blocks_match_a_plain_loop(self, monkeypatch, K_grid, p_grid,
+                                             trials):
+        # with no projected time too small for a pool, 2 and 3 workers get
+        # all (p, K, trial) units but the last cut into at most 8 or 12
+        # ranges: one trial each for the first two grids, ranges that cut
+        # cells for the third, and for the last, ranges that take one cell
+        # whole and part of the next; with two p values a sum that took K
+        # for p would give other counts
+        monkeypatch.setattr(mc, "POOL_MIN_S", 0.0)
         cfg = mc.ExperimentConfig(n=25, K_grid=K_grid, p_grid=p_grid,
                                   trials=trials, seed=77)
         tables = [mc.sweep(cfg, workers=w) for w in (1, 2, 3)]
@@ -222,7 +236,7 @@ class TestSweep:
                 assert r.count_connected == sum(o.connected for o in outs)
                 assert r.count_no_isolated == sum(o.isolated_count == 0 for o in outs)
 
-    # at 9 workers the 7-unit grid starts a pool of one worker per unit
+    # at 9 workers the 7-unit grid pools its first 6 units, one worker each
     @pytest.mark.parametrize("workers", [2, 3, 5, 9])
     @pytest.mark.parametrize("K_grid,p_grid,trials", [
         ((3,), (0.5,), 7), ((2, 3, 4, 5, 6), (0.3, 0.7), 3),
@@ -231,6 +245,7 @@ class TestSweep:
                                                    K_grid, p_grid, trials):
         # an in-process stand-in for the pool records its jobs, and a
         # wrapped _run_cell the trials they run; no process is started
+        monkeypatch.setattr(mc, "POOL_MIN_S", 0.0)
         pools, jobs, ran = [], [], []
 
         class RecordingPool:
@@ -261,10 +276,31 @@ class TestSweep:
         monkeypatch.setattr(mc, "_run_cell", recording_cell)
         assert mc.sweep(cfg, workers=workers) == plain
         units = len(K_grid) * len(p_grid) * trials
-        assert pools == [min(workers, units)]
+        # the last unit runs in this process, timed; the pool gets the rest
+        assert pools == [min(workers, units - 1)]
         assert 1 < len(jobs) <= 4 * workers
+        cuts = [start for _, start, _ in jobs] + [jobs[-1][2]]
+        assert cuts[0] == 0 and cuts[-1] == units - 1
+        assert [stop for _, _, stop in jobs] == cuts[1:]
         assert sorted(ran) == list(product(range(len(p_grid)), range(len(K_grid)),
                                            range(trials)))
+
+    @pytest.mark.parametrize("pool_min_s,K_grid", [
+        (None, (2, 3)),  # the module's cutoff: 4 trials at n=25 project far below it
+        (0.0, (2,)),  # one unit left after the timed one: no pool, however slow
+    ])
+    def test_small_sweep_starts_no_pool(self, monkeypatch, pool_min_s, K_grid):
+        if pool_min_s is not None:
+            monkeypatch.setattr(mc, "POOL_MIN_S", pool_min_s)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        cfg = mc.ExperimentConfig(n=25, K_grid=K_grid, p_grid=(0.5,),
+                                  trials=2, seed=77)
+        plain = mc.sweep(cfg)
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", no_pool)
+        assert mc.sweep(cfg, workers=3) == plain
 
     def test_containment_per_cell(self):
         for r in mc.sweep(SMALL).rows:
