@@ -229,13 +229,16 @@ def degrees(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def run_trial(n: int, K: int, p: float, channel: str, trial_seed) -> TrialOutcome:
     """Sample one pairing, one channel graph, intersect, and measure.
 
-    trial_seed is an int or a tuple of ints (see trial_entropy); identical
-    seeds give identical outcomes. The intersection's int64 edge arrays go
-    through `degrees`, then `components`, each of which checks them.
+    trial_seed is an int >= 0 or a tuple of them (see trial_entropy); a bool
+    is rejected. Identical seeds give identical outcomes. The intersection's
+    int64 edge arrays go through `degrees`, then `components`, each of which
+    checks them.
     """
     check_nk(n, K)
     check_p(p)
     check_channel(channel, p)
+    for part in trial_seed if isinstance(trial_seed, tuple) else (trial_seed,):
+        check_int("trial_seed", part, 0)
     rng = rng_from_entropy(trial_seed)
     a, b = _intersection_edges(n, K, p, channel, rng)
     iso = int(np.count_nonzero(degrees(n, a, b) == 0))

@@ -4,9 +4,11 @@ Each of the n nodes independently picks a uniform set of K partners among the
 other n-1 nodes. Two nodes share a key iff at least one picked the other.
 
 A trial's pairing (sample_gamma_matrix) draws integers and takes O(nK) time
-and memory. The bound suite's batched pairings (draw_partners) rank the
-candidates by i.i.d. uniforms instead, drawn a block of rows at a time
-(uniform_rows).
+and memory. It draws and keeps its partner ids in int32 (numpy draws a range
+that fits in 32 bits from the same stream at either width) and widens them to
+int64 once, on return. The bound suite's batched pairings (draw_partners)
+rank the candidates by i.i.d. uniforms instead, drawn a block of rows at a
+time (uniform_rows).
 """
 
 from __future__ import annotations
@@ -65,6 +67,11 @@ def draw_widths(m: int, K: int) -> tuple[int, int]:
     return K + extra, extra
 
 
+def _id_dtype(n: int) -> type:
+    """The dtype of the ids of n nodes: int32 while n < 2^31, else int64."""
+    return np.int32 if n <= np.iinfo(np.int32).max else np.int64
+
+
 def _distinct_prefix(x: np.ndarray, K: int, m: int, extra: int,
                      rng: np.random.Generator) -> np.ndarray:
     """The first K distinct values of each row of x (draws in [0, m)), in
@@ -88,7 +95,8 @@ def _distinct_prefix(x: np.ndarray, K: int, m: int, extra: int,
     out[full] = x[full][(new & (count <= K))[full]].reshape(-1, K)
     short = ~full
     if short.any():
-        more = rng.integers(0, m, size=(np.count_nonzero(short), extra))
+        more = rng.integers(0, m, size=(np.count_nonzero(short), extra),
+                            dtype=x.dtype)
         out[short] = _distinct_prefix(np.concatenate((x[short], more), axis=1),
                                       K, m, extra, rng)
     return out
@@ -98,11 +106,14 @@ def _permutation_prefix(n: int, m: int, K: int,
                         rng: np.random.Generator) -> np.ndarray:
     """The first K entries of a uniform random permutation of 0..m-1, for
     each of n rows: Fisher-Yates, step j swapping entry j with one drawn
-    from [j, m), all steps' draws in one rng.integers call of shape (n, K)."""
-    swap = rng.integers(np.arange(K), m, size=(n, K))
-    perm = np.tile(np.arange(m), n)  # the n rows, end to end
+    from [j, m), all steps' draws in one rng.integers call of shape (n, K).
+    The draws and the entries are node ids (_id_dtype); the flat indices
+    into the n rows are int64, since n * m passes 2^31 from n = 46342."""
+    dtype = _id_dtype(n)
+    swap = rng.integers(np.arange(K), m, size=(n, K), dtype=dtype)
+    perm = np.tile(np.arange(m, dtype=dtype), n)  # the n rows, end to end
     base = np.arange(n) * m
-    out = np.empty((n, K), dtype=np.int64)
+    out = np.empty((n, K), dtype=dtype)
     for j in range(K):
         r = base + swap[:, j]
         out[:, j] = perm[r]
@@ -113,7 +124,7 @@ def _permutation_prefix(n: int, m: int, K: int,
 def sample_gamma_matrix(n: int, K: int, rng: np.random.Generator) -> np.ndarray:
     """Sample the partner sets for all nodes at once.
 
-    Returns an (n, K) int array of 0-based partner ids; row i holds the K
+    Returns an (n, K) int64 array of 0-based partner ids; row i holds the K
     partners of node i+1, in draw order. Rows are independent, and each is
     a uniform ordered K-sequence of the other n-1 nodes, so its set is an
     exact-uniform K-subset.
@@ -123,7 +134,10 @@ def sample_gamma_matrix(n: int, K: int, rng: np.random.Generator) -> np.ndarray:
     distinct values; rows short of K are topped up. With 2K > m, where
     distinct values would come slowly, a row is a permutation prefix
     (_permutation_prefix). Candidate c of node i is node c if c < i else
-    c + 1.
+    c + 1. The ids are drawn and kept in int32 (int64 from n = 2^31): numpy
+    draws a range that fits in 32 bits from the same stream at either width,
+    so the values and the generator's next draw do not depend on it. They
+    are widened once, on return.
     """
     check_nk(n, K)
     m = n - 1
@@ -131,7 +145,7 @@ def sample_gamma_matrix(n: int, K: int, rng: np.random.Generator) -> np.ndarray:
         cand = _permutation_prefix(n, m, K, rng)
     else:
         width, extra = draw_widths(m, K)
-        x = rng.integers(0, m, size=(n, width))
+        x = rng.integers(0, m, size=(n, width), dtype=_id_dtype(n))
         cand = x[:, :K].copy()
         # most rows repeat no value in their first K draws: only the others
         # need the sort of _distinct_prefix
@@ -141,5 +155,5 @@ def sample_gamma_matrix(n: int, K: int, rng: np.random.Generator) -> np.ndarray:
         repeat = np.zeros(n, dtype=bool)
         repeat[np.flatnonzero(same) // K] = True
         cand[repeat] = _distinct_prefix(x[repeat], K, m, extra, rng)
-    cand += cand >= np.arange(n)[:, None]
-    return cand
+    cand += cand >= np.arange(n, dtype=cand.dtype)[:, None]
+    return cand.astype(np.int64)

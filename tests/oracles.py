@@ -47,13 +47,13 @@ def keyed_pairs(gamma):
 
 
 def row_scan_gamma_matrix(n, K, rng):
-    """scheme.sample_gamma_matrix with its repeat rows found per row: the
-    (n, K-1) compare of each sorted row's neighbours and any() along it.
-    Its pieces (draw_widths, _distinct_prefix, _permutation_prefix) are
-    looked up at call time."""
+    """scheme.sample_gamma_matrix with its draws in int64 and its repeat
+    rows found per row: the (n, K-1) compare of each sorted row's neighbours
+    and any() along it. Its pieces (draw_widths, _distinct_prefix,
+    _permutation_prefix) are looked up at call time."""
     m = n - 1
     if 2 * K > m:
-        cand = scheme._permutation_prefix(n, m, K, rng)
+        cand = scheme._permutation_prefix(n, m, K, rng).astype(np.int64)
     else:
         width, extra = scheme.draw_widths(m, K)
         x = rng.integers(0, m, size=(n, width))
@@ -445,9 +445,9 @@ def validate_columns(n, K, p, samples, seed):
 class ScriptedRng:
     """Stands in for a numpy Generator: the draws given are joined into one
     flat script, and each random(shape) or integers(low, high, size) call
-    returns its next values in the requested shape (as int64 for integers,
-    each checked to lie in [low, high)). So a script serves any split of the
-    same draws into requests."""
+    returns its next values in the requested shape (integers in the dtype
+    asked for, int64 by default, each checked to lie in [low, high)). So a
+    script serves any split of the same draws into requests."""
 
     def __init__(self, *draws):
         self.script = np.concatenate([np.ravel(np.asarray(d, dtype=float))
@@ -461,8 +461,8 @@ class ScriptedRng:
         self.used += size
         return out.reshape(shape)
 
-    def integers(self, low, high, size):
-        out = self.random(size).astype(np.int64)
+    def integers(self, low, high, size, dtype=np.int64):
+        out = self.random(size).astype(dtype)
         assert np.all((low <= out) & (out < high)), "scripted integer out of range"
         return out
 
@@ -479,6 +479,6 @@ class RecordingRng:
         self.draws.append(self.rng.random(shape))
         return self.draws[-1]
 
-    def integers(self, low, high, size):
-        self.draws.append(self.rng.integers(low, high, size=size))
+    def integers(self, low, high, size, dtype=np.int64):
+        self.draws.append(self.rng.integers(low, high, size=size, dtype=dtype))
         return self.draws[-1]

@@ -112,3 +112,17 @@ def test_negative_seed_rejected(entry, tmp_path):
     with pytest.raises(ValueError, match="seed"):
         NEGATIVE_SEED[entry](tmp_path)
     assert list(tmp_path.iterdir()) == []
+
+
+# run_trial hands its seed to numpy, which would take True as 1 and raise
+# its own TypeError or message for the others
+@pytest.mark.parametrize("trial_seed", [-1, True, "7", 2.0, None, [1, 2],
+                                        (1, True), (1, -1), (1, "7")])
+def test_bad_trial_seed_rejected(trial_seed):
+    with pytest.raises(ValueError, match="trial_seed"):
+        mc.run_trial(10, 3, 0.5, "on_off", trial_seed)
+
+
+@pytest.mark.parametrize("trial_seed", [0, 7, (), (1, 2, 3), (0, 2**70)])
+def test_good_trial_seed_accepted(trial_seed):
+    mc.run_trial(10, 3, 0.5, "on_off", trial_seed)

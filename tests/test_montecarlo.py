@@ -79,8 +79,9 @@ class TestRunTrial:
     @pytest.mark.parametrize("channel", ["on_off", "disk_forced"])
     def test_trial_is_order_nk(self, channel):
         # n = 10^5: drawing n(n-1) pairing uniforms to rank would take about
-        # a minute; an O(nK) trial takes about 0.07 s and 114 MB on on/off,
-        # 0.1 s and 139 MB on disk (x86-64, numpy 2.4)
+        # a minute; an O(nK) trial takes about 0.11-0.21 s and 114 MiB on
+        # on/off, 0.16-0.26 s and 139 MiB on disk (medians of 5 trials,
+        # 2-CPU x86-64 Xeon, numpy 2.4.6)
         def trial():
             return mc.run_trial(100_000, 36, 0.2, channel, 3)
 
