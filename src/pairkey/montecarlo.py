@@ -6,11 +6,11 @@ of the pairing, filtered by the channel. A trial builds no n x n array and
 draws O(nK) random numbers: the pairing (scheme.sample_gamma_matrix), then
 one on/off uniform per keyed pair, or n positions for disk, whose distances
 are computed at the keyed pairs only. So a trial takes O(nK) time and memory.
-The keyed pairs are found as codes min * n + max of the nK picks, built in
-place, in int32 while n * n fits (n <= 46340) and int64 beyond, then sorted
-and deduplicated (_pair_codes). One split (_edges) turns codes into int64
-(a, b): on/off draws its uniforms over the codes and splits only the kept
-ones, disk splits them all (keyed_pairs) before its distance mask.
+The keyed pairs are codes min * n + max of the nK picks, built in place from
+the pairing's int32 ids, in int32 while n * n fits (n <= 46340) and int64
+beyond, then sorted and deduplicated (_pair_codes). One split (_edges) turns
+codes into int64 (a, b): on/off draws its uniforms over the codes and splits
+only the kept ones, disk splits them all before its distance mask.
 (validate_bounds, for small n only, runs dense matrices over tiles of
 samples instead, and ranks uniforms for its pairings, as estimate_edge_prob
 does; both draw them through scheme.uniform_rows.)
@@ -116,9 +116,9 @@ class ExperimentConfig:
 
 def _pair_codes(gamma: np.ndarray) -> np.ndarray:
     """Sorted distinct codes min(i, j) * n + max(i, j) of the keyed pairs
-    {i, j} of a pairing, in int32 where n * n fits, else int64."""
+    {i, j} of a pairing, in scheme._id_dtype(n * n), built in a copy of it."""
     n, K = gamma.shape
-    dtype = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
+    dtype = scheme._id_dtype(n * n)
     i = np.arange(n, dtype=dtype)[:, None]
     j = gamma.astype(dtype)
     code = np.maximum(i, j).ravel()
@@ -172,7 +172,7 @@ def _intersection_edges(n: int, K: int, p: float, channel: str,
     if channel == "on_off":
         code = _pair_codes(sample_gamma_matrix(n, K, rng))
         return _edges(code[rng.random(code.size) < p], n)
-    a, b = keyed_pairs(sample_gamma_matrix(n, K, rng))
+    a, b = _edges(_pair_codes(sample_gamma_matrix(n, K, rng)), n)
     up = toroidal_distance_matrix(rng.random((n, 2)), a, b) < match_rho(p, channel)
     return a[up], b[up]
 
@@ -258,7 +258,7 @@ def sample_instance(n: int, K: int, p: float, seed: int):
     check_int("seed", seed, 0)
     rng = rng_from_entropy((seed, 201, n, K))
     gamma = sample_gamma_matrix(n, K, rng)
-    a, b = keyed_pairs(gamma)
+    a, b = _edges(_pair_codes(gamma), n)
     chan = np.triu(np.ones((n, n), dtype=bool), 1)
     # a block of rows at a time: PCG64 gives the same doubles in blocks
     step = max(1, scheme._BLOCK // n)

@@ -4,11 +4,10 @@ Each of the n nodes independently picks a uniform set of K partners among the
 other n-1 nodes. Two nodes share a key iff at least one picked the other.
 
 A trial's pairing (sample_gamma_matrix) draws integers and takes O(nK) time
-and memory. It draws and keeps its partner ids in int32 (numpy draws a range
-that fits in 32 bits from the same stream at either width) and widens them to
-int64 once, on return. The bound suite's batched pairings (draw_partners)
-rank the candidates by i.i.d. uniforms instead, drawn a block of rows at a
-time (uniform_rows).
+and memory. It draws and returns its partner ids in int32 (numpy draws a
+range that fits in 32 bits from the same stream at either width). The bound
+suite's batched pairings (draw_partners) rank the candidates by i.i.d.
+uniforms instead, drawn a block of rows at a time (uniform_rows).
 """
 
 from __future__ import annotations
@@ -68,7 +67,8 @@ def draw_widths(m: int, K: int) -> tuple[int, int]:
 
 
 def _id_dtype(n: int) -> type:
-    """The dtype of the ids of n nodes: int32 while n < 2^31, else int64."""
+    """int32 if n fits in it, else int64: the one width rule, for the ids of
+    n nodes and, as _id_dtype(n * n), for their pair codes."""
     return np.int32 if n <= np.iinfo(np.int32).max else np.int64
 
 
@@ -124,8 +124,9 @@ def _permutation_prefix(n: int, m: int, K: int,
 def sample_gamma_matrix(n: int, K: int, rng: np.random.Generator) -> np.ndarray:
     """Sample the partner sets for all nodes at once.
 
-    Returns an (n, K) int64 array of 0-based partner ids; row i holds the K
-    partners of node i+1, in draw order. Rows are independent, and each is
+    Returns an (n, K) array of 0-based partner ids in _id_dtype(n), int32
+    below n = 2^31; row i holds node i's partners (node i+1 in the 1-based
+    dump files), in draw order. Rows are independent, and each is
     a uniform ordered K-sequence of the other n-1 nodes, so its set is an
     exact-uniform K-subset.
 
@@ -134,10 +135,9 @@ def sample_gamma_matrix(n: int, K: int, rng: np.random.Generator) -> np.ndarray:
     distinct values; rows short of K are topped up. With 2K > m, where
     distinct values would come slowly, a row is a permutation prefix
     (_permutation_prefix). Candidate c of node i is node c if c < i else
-    c + 1. The ids are drawn and kept in int32 (int64 from n = 2^31): numpy
-    draws a range that fits in 32 bits from the same stream at either width,
-    so the values and the generator's next draw do not depend on it. They
-    are widened once, on return.
+    c + 1. numpy draws a range that fits in 32 bits from the same stream at
+    either width, so the values and the generator's next draw do not depend
+    on the ids' dtype.
     """
     check_nk(n, K)
     m = n - 1
@@ -156,4 +156,4 @@ def sample_gamma_matrix(n: int, K: int, rng: np.random.Generator) -> np.ndarray:
         repeat[np.flatnonzero(same) // K] = True
         cand[repeat] = _distinct_prefix(x[repeat], K, m, extra, rng)
     cand += cand >= np.arange(n, dtype=cand.dtype)[:, None]
-    return cand.astype(np.int64)
+    return cand

@@ -76,19 +76,20 @@ class TestRunTrial:
                 assert mc.run_trial(n, K, p, channel, e) == \
                     object_path_trial(n, K, p, channel, e)
 
-    @pytest.mark.parametrize("channel", ["on_off", "disk_forced"])
-    def test_trial_is_order_nk(self, channel):
+    @pytest.mark.parametrize("channel,bound", [("on_off", 107), ("disk_forced", 145)])
+    def test_trial_is_order_nk(self, channel, bound):
         # n = 10^5: drawing n(n-1) pairing uniforms to rank would take about
-        # a minute; an O(nK) trial takes about 0.11-0.21 s and 114 MiB on
-        # on/off, 0.16-0.26 s and 139 MiB on disk (medians of 5 trials,
-        # 2-CPU x86-64 Xeon, numpy 2.4.6)
+        # a minute; an O(nK) trial takes about 0.11-0.21 s on on/off and
+        # 0.16-0.26 s on disk (medians of 5 trials, 2-CPU x86-64 Xeon, numpy
+        # 2.4.6). Its tracemalloc peak is 100.3 MiB on on/off (114.1 while
+        # the sampler widened its ids to int64) and 138.8 MiB on disk.
         def trial():
             return mc.run_trial(100_000, 36, 0.2, channel, 3)
 
         start = time.process_time()
         trial()
         assert time.process_time() - start < 2.0
-        assert peak_mb(trial) < 300
+        assert peak_mb(trial) < bound
 
     def test_disk_trial_holds_no_distance_matrix(self):
         # the all-pairs distance matrix alone is 69 MB at n=3000; the
