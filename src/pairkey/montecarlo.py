@@ -10,7 +10,9 @@ The keyed pairs are codes min * n + max of the nK picks, built in place from
 the pairing's int32 ids, in int32 while n * n fits (n <= 46340) and int64
 beyond, then sorted and deduplicated (_pair_codes). One split (_edges) turns
 codes into int64 (a, b): on/off draws its uniforms over the codes and splits
-only the kept ones, disk splits them all before its distance mask.
+only the kept ones, disk splits them all before its distance mask. Both take
+the surviving links by index (np.flatnonzero), as numpy copies through a
+boolean mask one run of True at a time, slow on a random mask.
 (validate_bounds, for small n only, runs dense matrices over tiles of
 samples instead, and ranks uniforms for its pairings, as estimate_edge_prob
 does; both draw them through scheme.uniform_rows.)
@@ -129,6 +131,7 @@ def _pair_codes(gamma: np.ndarray) -> np.ndarray:
     code.sort()
     new = np.ones(code.size, dtype=bool)
     np.not_equal(code[1:], code[:-1], out=new[1:])
+    # boolean take: this mask is nearly all True, so it copies in long runs
     return code[new]
 
 
@@ -168,12 +171,17 @@ def _intersection_edges(n: int, K: int, p: float, channel: str,
     The pairing is drawn first, then the channel: one on/off uniform per
     keyed pair, in (a, b) order, or n positions for disk. Only keyed pairs
     are tested against the channel; on/off splits only the kept pair codes.
+    The surviving links are taken by index, since a boolean take copies one
+    run of True at a time and a random mask's runs are short.
     """
     if channel == "on_off":
         code = _pair_codes(sample_gamma_matrix(n, K, rng))
-        return _edges(code[rng.random(code.size) < p], n)
+        # index take: this mask is random at density p, so its runs are short
+        return _edges(code[np.flatnonzero(rng.random(code.size) < p)], n)
     a, b = _edges(_pair_codes(sample_gamma_matrix(n, K, rng)), n)
-    up = toroidal_distance_matrix(rng.random((n, 2)), a, b) < match_rho(p, channel)
+    # index take, one index array for both: the disk mask's runs are short too
+    up = np.flatnonzero(toroidal_distance_matrix(rng.random((n, 2)), a, b)
+                        < match_rho(p, channel))
     return a[up], b[up]
 
 

@@ -292,19 +292,23 @@ class TestIntersect:
 
     @pytest.mark.parametrize("n", [600, 1000, 4000])
     @pytest.mark.parametrize("k_of_n", [lambda n: 1, lambda n: n // 2,
-                                        lambda n: n - 1], ids=["1", "mid", "n-1"])
+                                        lambda n: n - 1, lambda n: 20],
+                             ids=["1", "mid", "n-1", "20"])
     def test_blocked_draws_match_whole_array(self, n, k_of_n):
         # the kernel draws the pairing for all rows at once, column by column
         # on the permutation path; the reference draws it row by row in plain
-        # Python, from the same stream, then the same channel draws
+        # Python, from the same stream, then the same channel draws and keeps
+        # its links through a boolean mask, where the kernel takes them by
+        # index; K = 20 at n = 4000 is the threshold_n4000 benchmark's cell
         K = k_of_n(n)
         for channel, seed in (("on_off", 1), ("disk_forced", 2)):
-            got = mc._intersection_edges(n, K, 0.3, channel,
-                                         np.random.default_rng(seed + n + K))
-            want = intersection_edges(n, K, 0.3, channel,
-                                      np.random.default_rng(seed + n + K))
-            for x, y in zip(got, want):
-                assert np.array_equal(x, y)
+            for p in (0.3, 0.2):
+                got = mc._intersection_edges(n, K, p, channel,
+                                             np.random.default_rng(seed + n + K))
+                want = intersection_edges(n, K, p, channel,
+                                          np.random.default_rng(seed + n + K))
+                for x, y in zip(got, want):
+                    assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
 class TestMonotonicity:

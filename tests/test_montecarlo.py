@@ -67,22 +67,26 @@ class TestRunTrial:
             assert mc.run_trial(25, 4, 0.9, "disk_forced", e) == \
                 object_path_trial(25, 4, 0.9, "disk_forced", e)
 
+    # (2, 1, 1e-12) keeps no link: the empty selection must stay int64
     @pytest.mark.parametrize("n,K,p", [(2, 1, 0.5), (5, 4, 0.3), (6, 2, 1.0),
-                                       (30, 29, 0.1), (40, 1, 0.7)])
+                                       (30, 29, 0.1), (40, 1, 0.7), (2, 1, 1e-12)])
     def test_edge_cases_match_object_path(self, n, K, p):
         for channel in ("on_off", "disk_forced"):
             for t in range(8):
                 e = mc.trial_entropy(5, channel, n, K, 0, t)
-                assert mc.run_trial(n, K, p, channel, e) == \
-                    object_path_trial(n, K, p, channel, e)
+                want = object_path_trial(n, K, p, channel, e)
+                assert mc.run_trial(n, K, p, channel, e) == want
+                a, b = mc._intersection_edges(n, K, p, channel, mc.rng_from_entropy(e))
+                assert a.dtype == b.dtype == np.int64
+                assert len(a) == len(b) == want.edge_count
 
     @pytest.mark.parametrize("channel", ["on_off", "disk_forced"])
     def test_trial_is_order_nk(self, channel):
         # n = 10^5: drawing n(n-1) pairing uniforms to rank would take about
-        # a minute; an O(nK) trial takes about 0.11-0.21 s on on/off and
-        # 0.16-0.26 s on disk (medians of 5 trials, 2-CPU x86-64 Xeon, numpy
-        # 2.4.6). Its tracemalloc peak is 100.3 MiB on on/off (114.1 while
-        # the sampler widened its ids to int64) and 138.8 MiB on disk.
+        # a minute; an O(nK) trial takes about 0.17-0.19 s on on/off and
+        # 0.26-0.29 s on disk (medians of 5 trials in four rounds, 2-CPU
+        # x86-64 Xeon, numpy 2.4.6). Its tracemalloc peak is 100.3 MiB on
+        # on/off and 138.8 MiB on disk.
         def trial():
             return mc.run_trial(100_000, 36, 0.2, channel, 3)
 
