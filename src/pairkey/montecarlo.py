@@ -46,7 +46,7 @@ import numpy as np
 
 from . import scheme, theory
 from .channels import toroidal_distance_matrix
-from .scheme import draw_partners, sample_gamma_matrix, uniform_rows
+from .scheme import sample_gamma_matrix, uniform_rows
 from .theory import check_channel, check_int, check_nk, check_p, match_rho
 
 _CHANNEL_TAGS = {"on_off": 1, "disk": 2, "disk_forced": 3}
@@ -545,18 +545,38 @@ def _rate_check(name, count, trials, q) -> BoundCheck:
                       passed=bool(tail >= _PHI_MINUS_3))
 
 
-def _dense_tile(gamma0: np.ndarray, ub: np.ndarray, p: float,
+def _pick_candidates(t: int, n: int, K: int, rng: np.random.Generator) -> np.ndarray:
+    """Picks of t pairings of n nodes as int32 candidate ids (t, n, K): (s, i)
+    holds the candidates of the K smallest uniforms of row s * n + i of
+    rng.random((t * n, n-1)), read through uniform_rows, in no set order."""
+    cand = np.empty((t * n, K), dtype=np.int32)
+    for s, u in uniform_rows(rng, t * n, n - 1):
+        cand[s:s + len(u)] = np.argpartition(u, min(K, n - 2), axis=1)[:, :K]
+    return cand.reshape(t, n, K)
+
+
+def _pick_matrices(cand: np.ndarray) -> np.ndarray:
+    """Pick matrices (t, n, n) of candidate ids (t, n, K): (s, i, j) is True
+    iff node i of sample s picked node j. The picks fill the off-diagonal, so
+    candidate c of node i lands in column c if c < i else c + 1."""
+    t, n, _ = cand.shape
+    pick = np.zeros((t, n, n - 1), dtype=bool)
+    np.put_along_axis(pick, cand, True, axis=2)
+    picked = np.zeros((t, n, n), dtype=bool)
+    picked[:, ~np.eye(n, dtype=bool)] = pick.reshape(t, -1)
+    return picked
+
+
+def _dense_tile(picked: np.ndarray, ub: np.ndarray, p: float,
                 tail_cut: float) -> np.ndarray:
-    """Tallies of validate_bounds over a tile of t samples, from their
-    partners (t, n, K) and channel uniforms (t, C(n,2)), through dense
+    """Tallies of validate_bounds over a tile of t samples, from their pick
+    matrices (t, n, n) and channel uniforms (t, C(n,2)), through dense
     (t, n, n) matrices, as one int64 vector: the counts of edge {0,1}, of
     pick 2->0, of node 0 isolated, of nodes 0 and 1 both isolated, of keyed
     {0,1}, of keyed {0,2} and of both; the histogram of X+Y in {0, 1, 2},
     X and Y the picks 2->0 and 2->1; and the sum, the sum of squares and the
     count at or below tail_cut of the outside-pick count."""
-    t, n, _ = gamma0.shape
-    picked = np.zeros((t, n, n), dtype=bool)
-    picked[np.arange(t)[:, None, None], np.arange(n)[None, :, None], gamma0] = True
+    t, n, _ = picked.shape
     keyed = picked | picked.transpose(0, 2, 1)
 
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
@@ -597,15 +617,15 @@ def validate_bounds(n: int, K: int, p: float, samples: int,
     rng = rng_from_entropy((seed, 102, n, K))
     e_mean = theory.estar_mean(n, R, K)
     tail_cut = (1.0 - TAIL_T) * e_mean
-    # the chunk size sets the stream: a chunk's pairings, then its links;
-    # a block of link uniforms sets only how many dense matrices exist at once
+    # the chunk size sets the stream: a chunk's pairings (candidate ids), then
+    # its links; a block of link uniforms sets how many dense matrices exist at once
     chunk = max(1000, min(samples, int(2e6 / (n * n))))
     tally = np.zeros(13, dtype=np.int64)
     for done in range(0, samples, chunk):
         t = min(chunk, samples - done)
-        gamma0 = draw_partners((t, n), K, rng)
+        cand = _pick_candidates(t, n, K, rng)
         for s, ub in uniform_rows(rng, t, n * (n - 1) // 2):
-            tally += _dense_tile(gamma0[s:s + len(ub)], ub, p, tail_cut)
+            tally += _dense_tile(_pick_matrices(cand[s:s + len(ub)]), ub, p, tail_cut)
     (s_edge, s_pair, s_chi1, s_chi12, s_x, s_y, s_xy,
      c0, c1, c2, s_e, s_e2, s_tail) = tally.tolist()
 

@@ -5,9 +5,9 @@ other n-1 nodes. Two nodes share a key iff at least one picked the other.
 
 A trial's pairing (sample_gamma_matrix) draws integers and takes O(nK) time
 and memory. It draws and returns its partner ids in int32 (numpy draws a
-range that fits in 32 bits from the same stream at either width). The bound
-suite's batched pairings (draw_partners) rank the candidates by i.i.d.
-uniforms instead, drawn a block of rows at a time (uniform_rows).
+range that fits in 32 bits from the same stream at either width). The
+uniforms by which the bound suite and the two-node estimate (in montecarlo)
+rank candidates are drawn a block of rows at a time (uniform_rows).
 """
 
 from __future__ import annotations
@@ -29,26 +29,6 @@ def uniform_rows(rng: np.random.Generator, rows: int, width: int):
     step = max(1, _BLOCK // width)
     for start in range(0, rows, step):
         yield start, rng.random((min(step, rows - start), width))
-
-
-def draw_partners(shape: tuple[int, ...], K: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Partner ids of shape (*shape, K) for independent pairings of
-    n = shape[-1] nodes: row (..., i) holds the K partners of node i.
-
-    Node i ranks its n-1 candidates by the uniforms of one row of
-    rng.random((*shape, n-1)), drawn through uniform_rows, and keeps the K
-    smallest. Candidate c of node i maps to node c if c < i else c + 1, so
-    no node picks itself. A row's partners come in no set order.
-    """
-    n = shape[-1]
-    out = np.empty((math.prod(shape), K), dtype=np.int64)
-    for start, u in uniform_rows(rng, len(out), n - 1):
-        out[start:start + len(u)] = (np.arange(K) if K == n - 1 else
-                                     np.argpartition(u, K, axis=-1)[:, :K])
-    out = out.reshape(*shape, K)
-    out += out >= np.arange(n)[:, None]
-    return out
 
 
 @functools.lru_cache

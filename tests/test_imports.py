@@ -88,7 +88,7 @@ def test_checker_finds_an_unused_import():
 
 def test_checker_finds_eager_imports():
     source = ("import numpy as np\nimport os.path\n"
-              "from . import theory\nfrom .scheme import draw_partners\n"
+              "from . import theory\nfrom .scheme import uniform_rows\n"
               "if np:\n    from scipy.special import bdtr\n"
               "class A:\n    import json\n"
               "def f():\n    import scipy.sparse\n    from . import cli\n")

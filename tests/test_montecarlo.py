@@ -602,7 +602,7 @@ class TestValidateBounds:
 
     def test_tiles_that_cut_chunks_match_column_form(self, monkeypatch):
         # 7 samples per tile, so the 20,000-sample chunk ends in a short tile;
-        # the partner draw is cut into blocks of 17 rows too
+        # the pick draw is cut into blocks of 17 rows too
         monkeypatch.setattr(scheme, "_BLOCK", 7 * 10)
         for p in (0.5, 0.45):
             assert_matches_columns(mc.validate_bounds(5, 2, p, 20_000, 12),
@@ -610,8 +610,15 @@ class TestValidateBounds:
 
     def test_keeps_tallies_not_samples(self):
         # the per-sample int64 columns and a second copy of each chunk's
-        # partners peaked at 25.7 MB here
-        assert peak_mb(lambda: mc.validate_bounds(5, 2, 0.5, 200_000, seed=1)) < 20
+        # partners peaked at 25.7 MB here, the int64 partner ids and their
+        # scatter at 16.3 MB; int32 candidate ids peak at 10.2 MB
+        assert peak_mb(lambda: mc.validate_bounds(5, 2, 0.5, 200_000, seed=1)) < 12
+
+    def test_picks_stay_order_nk_above_the_chunk_floor(self):
+        # a chunk holds 1000 samples at n = 300, where its (t, n, n) pick
+        # matrices would take 86 MB; int64 partner ids peaked at 15.5 MB,
+        # int32 candidate ids, made into pick matrices a tile at a time, at 9.8
+        assert peak_mb(lambda: mc.validate_bounds(300, 5, 0.5, 1000, seed=1)) < 12
 
 
 def assert_matches_columns(report, reference):

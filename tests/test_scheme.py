@@ -13,7 +13,7 @@ from pairkey import montecarlo as mc
 from pairkey import scheme
 from pairkey.cli import dump_instance
 from pairkey.montecarlo import degrees, estimate_edge_prob, keyed_pairs
-from pairkey.scheme import draw_partners, sample_gamma_matrix, uniform_rows
+from pairkey.scheme import sample_gamma_matrix, uniform_rows
 
 import oracles
 from oracles import (RecordingRng, ScriptedRng, key_rings, ordered_partners,
@@ -37,6 +37,16 @@ def pair_set(a, b):
 def partner_list(gamma):
     """0-based partner sets, one per row of gamma."""
     return [set(row.tolist()) for row in gamma]
+
+
+def pick_matrices(t, n, K, rng):
+    """The bound suite's pick matrices (t, n, n) of t pairings of n nodes."""
+    return mc._pick_matrices(mc._pick_candidates(t, n, K, rng))
+
+
+def pick_list(picked):
+    """0-based partner sets, one per row of a pick matrix."""
+    return [set(np.flatnonzero(row).tolist()) for row in picked]
 
 
 class TestSchemeParams:
@@ -108,9 +118,9 @@ class TestSamplePairing:
     @pytest.mark.parametrize("n,K", [(2, 1), (6, 2), (6, 5), (25, 4)])
     def test_matches_ranked_uniform_oracle(self, n, K):
         # the bound suite's pairings rank the candidates by uniforms
-        gamma = draw_partners((n,), K, rng(n + K))
+        picked = pick_matrices(1, n, K, rng(n + K))[0]
         u = rng(n + K).random((n, n - 1))
-        assert [set(row.tolist()) for row in gamma] == partner_sets(u, K)
+        assert pick_list(picked) == partner_sets(u, K)
 
     @pytest.mark.parametrize("n,K", [(2, 1), (3, 1), (6, 2), (6, 3), (6, 5),
                                      (25, 4), (25, 12), (25, 13), (200, 25)])
@@ -140,13 +150,13 @@ class TestSamplePairing:
         assert scheme.draw_widths(5, 2) == (4, 2)
 
     def test_batched_rows_match_single_draws(self):
-        # the validation suite draws a (t, n) batch of pairings in one call
+        # the validation suite draws a batch of t pairings in one call
         for n, K in ((6, 2), (6, 5), (30, 2)):
-            batch = draw_partners((3, n), K, rng(4))
+            batch = pick_matrices(3, n, K, rng(4))
             r = rng(4)
             for t in range(3):
-                assert partner_list(batch[t]) == \
-                    partner_list(draw_partners((n,), K, r))
+                assert pick_list(batch[t]) == \
+                    pick_list(pick_matrices(1, n, K, r)[0])
 
 
 # every sampler regime: 2K <= n-1 (integer draws), 2K > n-1 (permutation
@@ -304,17 +314,19 @@ class TestOrderedUniformity:
 
 def scripted_pairing(u, K):
     """Partner sets the bound suite's sampler picks from the uniforms u,
-    next to those of one argpartition of the whole array."""
-    got = partner_list(draw_partners((len(u),), K, ScriptedRng(u)))
-    return got, partner_list(partners_from_uniforms(u, K))
+    next to those of one argpartition of the whole array; every node must
+    pick exactly K."""
+    picked = pick_matrices(1, len(u), K, ScriptedRng(u))[0]
+    assert (picked.sum(axis=1) == K).all()
+    return pick_list(picked), partner_list(partners_from_uniforms(u, K))
 
 
 class TestThresholdSelection:
-    """The bound suite's sampler, draw_partners, ranks each block of
+    """The bound suite's sampler, _pick_candidates, ranks each block of
     uniforms by argpartition; on scripted ties, short rows and off-grid
-    values it must pick what one whole-array argpartition picks, and on
-    seeded draws what the pure-Python ranking picks. The trial's sampler
-    ranks no uniforms."""
+    values its pick matrices must hold exactly K picks per node, those of
+    one whole-array argpartition, and on seeded draws what the pure-Python
+    ranking picks. The trial's sampler ranks no uniforms."""
 
     def test_row_short_of_candidates(self):
         u = rng(1).random((20, 19))
@@ -333,6 +345,13 @@ class TestThresholdSelection:
         assert got == want
         # columns 1, 4 and 7 of node 3 are nodes 1, 5 and 8
         assert 1 in got[3] and len(got[3] & {5, 8}) == 1
+
+    def test_every_candidate_at_k_n_minus_1(self):
+        u = rng(5).random((20, 19))
+        u[3, [2, 9]] = u[3].max()  # ties at the largest value
+        u[7] = 0.5  # a row of one value
+        got, want = scripted_pairing(u, 19)
+        assert got == want == [set(range(20)) - {i} for i in range(20)]
 
     def test_off_grid_values(self):
         u = rng(3).random((20, 19))
@@ -355,8 +374,7 @@ class TestThresholdSelection:
         u[5] = 0.99
         u[5, [2, 7, 11]] = np.nextafter(v, 0.0) - np.array([3, 1, 2]) * 2.0 ** -40
         u[6, [0, 4]] = 0.0
-        want = partner_list(partners_from_uniforms(u, K))
-        got = partner_list(draw_partners((n,), K, ScriptedRng(u)))
+        got, want = scripted_pairing(u, K)
         assert got == want
         # columns 2 and 11 of node 5 are nodes 2 and 12
         assert got[5] == {2, 12} and got[6] == {0, 4}
@@ -365,13 +383,13 @@ class TestThresholdSelection:
         with mock.patch.object(np, "argpartition", side_effect=AssertionError):
             sample_gamma_matrix(1000, 10, rng(1))
             sample_gamma_matrix(300, 200, rng(1))
-        batch = draw_partners((300, 30), 2, rng(1))
+        batch = pick_matrices(300, 30, 2, rng(1))
         u = rng(1).random((300, 30, 29))
-        assert [partner_list(g) for g in batch] == [partner_sets(x, 2) for x in u]
+        assert [pick_list(g) for g in batch] == [partner_sets(x, 2) for x in u]
 
     @pytest.mark.parametrize("n,K", [(600, 1), (600, 300), (1000, 30)])
     def test_many_blocks_match_argpartition(self, n, K):
-        got = partner_list(draw_partners((n,), K, rng(n + K)))
+        got = pick_list(pick_matrices(1, n, K, rng(n + K))[0])
         assert got == partner_list(
             partners_from_uniforms(rng(n + K).random((n, n - 1)), K))
 
