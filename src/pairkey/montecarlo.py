@@ -260,19 +260,17 @@ def sample_instance(n: int, K: int, p: float, seed: int):
     (seed, 201, n, K): the partners (n, K), each row ascending, then the
     key-sharing, channel and intersection graphs as sorted edge arrays
     (a, b), a < b. It draws the pairing, then one on/off uniform per pair,
-    keyed or not, in row-major upper-triangle order: (0, 1), (0, 2), ..."""
+    keyed or not, in row-major upper-triangle order: (0, 1), (0, 2), ...,
+    one row at a time into an n x n bool mask of the links."""
     check_nk(n, K)
     check_p(p)
     check_int("seed", seed, 0)
     rng = rng_from_entropy((seed, 201, n, K))
     gamma = sample_gamma_matrix(n, K, rng)
     a, b = _edges(_pair_codes(gamma), n)
-    chan = np.triu(np.ones((n, n), dtype=bool), 1)
-    # a block of rows at a time: PCG64 gives the same doubles in blocks
-    step = max(1, scheme._BLOCK // n)
-    for r in range(0, n, step):
-        blk = chan[r:r + step]
-        blk[blk] = rng.random(np.count_nonzero(blk)) < p
+    chan = np.zeros((n, n), dtype=bool)
+    for r in range(n - 1):  # PCG64 gives the same doubles row by row
+        chan[r, r + 1:] = rng.random(n - 1 - r) < p
     both = chan[a, b]
     return np.sort(gamma, axis=1), (a, b), np.nonzero(chan), (a[both], b[both])
 

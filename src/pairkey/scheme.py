@@ -6,8 +6,8 @@ other n-1 nodes. Two nodes share a key iff at least one picked the other.
 A trial's pairing (sample_gamma_matrix) draws integers and takes O(nK) time
 and memory. It draws and returns its partner ids in int32 (numpy draws a
 range that fits in 32 bits from the same stream at either width). The
-uniforms by which the bound suite and the two-node estimate (in montecarlo)
-rank candidates are drawn a block of rows at a time (uniform_rows).
+package's one blocked draw, uniform_rows, draws the uniforms by which the
+bound suite and the two-node estimate (in montecarlo) rank candidates.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ _BLOCK = 1 << 18  # uniforms drawn at a time
 
 
 def uniform_rows(rng: np.random.Generator, rows: int, width: int):
-    """The one blocked draw: (first_row, block) pairs, the blocks being the
-    successive rows of rng.random((rows, width)), max(1, _BLOCK // width) rows
-    at most. The stream does not depend on the block size."""
+    """The package's one blocked draw: (first_row, block) pairs, the blocks
+    being successive runs of at most max(1, _BLOCK // width) rows of
+    rng.random((rows, width)). The stream does not depend on the block size."""
     step = max(1, _BLOCK // width)
     for start in range(0, rows, step):
         yield start, rng.random((min(step, rows - start), width))

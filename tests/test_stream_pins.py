@@ -36,6 +36,8 @@ DUMP_DIGESTS = {
     (6, 5, 0.7, 4): "b52ce00573ee3ea2f2431e505d445d90d900c3db5454cb69299b785f6c8931d5",
     (30, 3, 0.4, 5): "0dc643be7c3217e3e6dd20e6cefb16406df2d9c9e1268389c3ce8a2a35f28cd4",
     (50, 5, 0.2, 42): "dc0c9e180893af5eb935904f0f0d6d890b9b038a65f3dc55d829f304f5c6c07d",
+    # more link rows than a block of 2^18 uniforms in rows of n (436 at n = 600)
+    (600, 4, 0.05, 7): "b55fbfa0946e9f705d47f7a6795df2f8d1f65d3d7f3638fa1247e5f5cb85e9b4",
 }
 
 
