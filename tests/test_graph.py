@@ -1,13 +1,15 @@
 """The trial kernel's graph layer on sorted edge arrays (a, b), a < b:
 building the key-sharing graph, degrees, isolated nodes, components and
 connectivity, and the intersection of the key-sharing graph with the
-channel."""
+channel. The component search is checked against scipy's."""
 
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from pairkey import montecarlo as mc
 from pairkey.cli import _write_edges
@@ -230,8 +232,8 @@ class TestComponents:
     @given(small_graphs(), st.randoms(use_true_random=False))
     @settings(max_examples=200)
     def test_unsorted_edges_agree_with_bfs(self, graph, random):
-        # edges in any order, either end first: the CSR rows are built by
-        # the first end, so this exercises the reordering
+        # edges in any order, either end first: the search hooks each
+        # edge's larger end under its smaller one, whichever comes first
         n, edges = graph
         edges = [(j, i) if random.random() < 0.5 else (i, j) for i, j in edges]
         random.shuffle(edges)
@@ -249,6 +251,61 @@ class TestComponents:
         for i, j in edges:
             assert labels[i] == labels[j]
         assert len(set(labels.tolist())) == count
+
+
+def check_against_scipy(n, a, b):
+    """components' count and labels equal those of the reference search,
+    scipy's connected_components, on the same edges as an n x n COO matrix
+    (whose repeated entries add up), dtype included. Returns the count."""
+    count, labels = components(n, a, b, return_labels=True)
+    want_count, want_labels = connected_components(
+        coo_matrix((np.ones(a.size), (a, b)), shape=(n, n)), directed=False)
+    assert type(count) is int and count == want_count == components(n, a, b)
+    assert labels.dtype == want_labels.dtype and np.array_equal(labels, want_labels)
+    return count
+
+
+class TestComponentsAgainstScipy:
+    def test_shuffled_path(self):
+        # a path through the nodes in random order: 9 hook rounds, where
+        # kernel graphs take 2-4
+        n = 10**4
+        order = np.random.default_rng(3).permutation(n)
+        assert check_against_scipy(n, order[:-1], order[1:]) == 1
+
+    @pytest.mark.parametrize("center", [0, 500, 999])
+    def test_star(self, center):
+        leaves = np.delete(np.arange(1000), center)
+        assert check_against_scipy(1000, np.full(999, center), leaves) == 1
+        assert check_against_scipy(1001, leaves, np.full(999, center)) == 2
+
+    def test_all_isolated(self):
+        empty = np.array([], dtype=np.int64)
+        assert check_against_scipy(50, empty, empty) == 50
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint16])
+    def test_loops_repeats_and_either_end_first(self, dtype):
+        # 300 random edges on 400 nodes: repeats, a > b and some self-loops
+        rng = np.random.default_rng(5)
+        a, b = rng.integers(0, 400, (2, 300)).astype(dtype)
+        b[:30] = a[:30]
+        a, b = np.concatenate((a, b[:50])), np.concatenate((b, a[:50]))
+        assert check_against_scipy(400, a, b) > 1
+
+    @pytest.mark.parametrize("n, a, b, count", [
+        (0, [], [], 0), (1, [], [], 1), (1, [0], [0], 1), (1, [0, 0], [0, 0], 1),
+    ])
+    def test_no_node_and_one_node(self, n, a, b, count):
+        assert check_against_scipy(n, np.array(a, dtype=np.int64),
+                                   np.array(b, dtype=np.int64)) == count
+
+    @pytest.mark.parametrize("n, K, p", [(200, 2, 0.3), (4000, 2, 0.5),
+                                         (46341, 2, 0.5)])
+    @pytest.mark.parametrize("channel", ["on_off", "disk"])
+    def test_kernel_graphs(self, n, K, p, channel):
+        # n = 46341 is the first n whose pair codes are int64
+        a, b = mc._intersection_edges(n, K, p, channel, np.random.default_rng(n))
+        assert check_against_scipy(n, a, b) > 1
 
 
 # n=3, K=1, one draw per node among its candidates 0, 1: node 0 picks 1,

@@ -4,8 +4,9 @@ Every module except __init__ (which re-exports) uses each name it imports,
 at any depth: a deletion that leaves an import behind fails here. No module
 imports scipy when it is itself imported, and `theory`, `cli` and the
 package import no numpy, so that `pairkey theory` runs on the standard
-library alone. Which libraries each entry point really loads is checked in
-fresh interpreters, since this one has loaded numpy and scipy already."""
+library alone; sweeps, dumps and `components` load numpy only. Which
+libraries each entry point really loads is checked in fresh interpreters,
+since this one has loaded numpy and scipy already."""
 
 import ast
 import json
@@ -155,14 +156,18 @@ def test_match_rho_loads_no_numpy():
     assert loaded == set()
 
 
-def test_sweep_loads_scipy_sparse_before_its_first_trial():
-    # the one trial has an isolated node, so it never reaches `components`
+def test_sweep_loads_numpy_only():
+    # at p = 1 no node is isolated, so both trials reach `components`;
+    # importing any scipy module would load "scipy" itself
     out, loaded = run_fresh(
         "from pairkey import montecarlo as mc\n"
-        "cfg = mc.ExperimentConfig(n=200, K_grid=(1,), p_grid=(0.2,), trials=1, seed=1)\n"
-        "print(mc.sweep(cfg).rows[0].count_no_isolated)")
-    assert out == "0"
-    assert "scipy.sparse" in loaded
+        "calls = []\n"
+        "search = mc._sparse_components\n"
+        "mc._sparse_components = lambda *args: calls.append(1) or search(*args)\n"
+        "cfg = mc.ExperimentConfig(n=200, K_grid=(12,), p_grid=(1.0,), trials=2, seed=1)\n"
+        "print(mc.sweep(cfg).rows[0].count_connected, len(calls))")
+    assert out == "2 2"
+    assert loaded == {"numpy"}
 
 
 def test_validate_loads_scipy_special_but_not_scipy_sparse():
@@ -172,13 +177,13 @@ def test_validate_loads_scipy_special_but_not_scipy_sparse():
     assert "scipy.special" in loaded and "scipy.sparse" not in loaded
 
 
-def test_dump_instance_and_components_load_scipy_sparse_outside_a_sweep(tmp_path):
+def test_dump_instance_and_components_load_no_scipy(tmp_path):
     fresh, here = tmp_path / "fresh", tmp_path / "here"
     out, loaded = run_fresh(
         "import numpy as np\nimport pairkey\nfrom pairkey import cli\n"
         f"assert cli.main(['dump-instance', '--seed', '5', '--outdir', {str(fresh)!r}]) == 0\n"
         "print(pairkey.components(6, np.array([0, 1, 3]), np.array([1, 2, 4])))")
-    assert "scipy.sparse" in loaded
+    assert loaded == {"numpy"}
     assert out == "3"  # {0, 1, 2}, {3, 4} and {5}
     assert cli.main(["dump-instance", "--seed", "5", "--outdir", str(here)]) == 0
     names = sorted(p.name for p in here.iterdir())

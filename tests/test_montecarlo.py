@@ -660,16 +660,6 @@ class TestSampleInstance:
         # blocks of rows filling a triangle mask at 26.3 MB
         assert peak_mb(lambda: mc.sample_instance(3000, 10, 0.2, 1)) < 25
 
-    # blocks of 1, 2 and 7 of the 40 rows, the last one short
-    @pytest.mark.parametrize("block", [40, 100, 300])
-    def test_output_does_not_depend_on_block_size(self, monkeypatch, block):
-        want = mc.sample_instance(40, 3, 0.4, 6)
-        monkeypatch.setattr(scheme, "_BLOCK", block)
-        got = mc.sample_instance(40, 3, 0.4, 6)
-        assert np.array_equal(got[0], want[0])
-        for x, y in zip(got[1:], want[1:]):
-            assert all(np.array_equal(u, v) for u, v in zip(x, y))
-
 
 class TestIsolatedCountMean:
     # E[isolated_count] = n * isolation_prob on both channels: on disk,
